@@ -416,17 +416,26 @@ def log_softmax(a, axis=-1):
 # gathers (embedding lookups and per-row index selection)
 
 
+def _scatter_add(flat_idx, g, shape):
+    """Zeros of `shape` with g summed in at flat positions; repeated
+    positions accumulate in order, as np.add.at would, in one bincount."""
+    size = shape[0] * shape[1]
+    return np.bincount(flat_idx.ravel(), weights=g.ravel(),
+                       minlength=size).reshape(shape)
+
+
 def gather_rows(table, idx):
-    """Select rows of a 2-D table; idx may be any integer array shape."""
+    """Select rows of a 2-D table; idx may be any integer array shape, and
+    its row numbers must be non-negative (the backward pass bincounts)."""
     table = _coerce(table)
     idx = np.asarray(idx)
     out = table.data[idx]
     shape = table.data.shape
 
     def back(g):
-        gt = np.zeros(shape)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, shape[1]))
-        return (gt,)
+        cols = shape[1]
+        flat = idx.reshape(-1, 1) * cols + np.arange(cols)
+        return (_scatter_add(flat, g, shape),)
 
     return _record(table.tape, out, (table,), back)
 
@@ -439,9 +448,8 @@ def take_per_row(a, idx):
     shape = a.data.shape
 
     def back(g):
-        ga = np.zeros(shape)
-        np.add.at(ga, (np.arange(shape[0])[:, None], idx), g)
-        return (ga,)
+        flat = np.arange(shape[0])[:, None] * shape[1] + idx
+        return (_scatter_add(flat, g, shape),)
 
     return _record(a.tape, out, (a,), back)
 

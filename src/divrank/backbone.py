@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("max_context_pool must be >= 2k + 1")
         if self.emb_init_scale <= 0:
             raise ConfigError("emb_init_scale must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         return self
 
     def to_dict(self):

@@ -65,6 +65,11 @@ def sample_contexts(w: Tensor, k: int, rng=None, mask=None) -> ContextSample:
     request. The additive mask (diagonal self-mask by default for square w)
     is applied after negation too, so the target can never enter its own
     context. Draws may overlap; they are not forced disjoint.
+
+    The noise goes onto the masked scores directly rather than onto their
+    log-softmax: the two differ by a per-row constant, which changes
+    neither the top-k indices nor the softmax pooling over the gathered
+    weights.
     """
     n = w.data.shape[-1]
     if 2 * k > n - 1:
@@ -74,8 +79,8 @@ def sample_contexts(w: Tensor, k: int, rng=None, mask=None) -> ContextSample:
     masked = w if mask is None else ad.add_constant(w, mask)
     neg_masked = ad.neg(w) if mask is None \
         else ad.add_constant(ad.neg(w), mask)
-    w_pos = perturb(ad.log_softmax(masked, axis=-1), rng)
-    w_neg = perturb(ad.log_softmax(neg_masked, axis=-1), rng)
+    w_pos = perturb(masked, rng)
+    w_neg = perturb(neg_masked, rng)
     pos_idx = hard_topk(w_pos.data, k)
     neg_idx = hard_topk(w_neg.data, k)
     gather = ad.take_per_row if w.data.ndim == 2 else _take_1d

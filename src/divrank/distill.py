@@ -129,14 +129,14 @@ class CDMModel:
         u_idx = self.user_index(request.user_id)
         return win_probabilities_detached(
             self.params, u_idx, item_idx, self.config,
-            pool_seed=_pool_seed(self.config.seed, request.request_id))
+            pool_seed=request_pool_seed(self.config.seed, request.request_id))
 
     def copy(self) -> "CDMModel":
         return CDMModel(self.config, self.item_category, self.category_ids,
                         self.user_ids, params=self.params.copy())
 
 
-def _pool_seed(seed: int, request_id: str) -> int:
+def request_pool_seed(seed: int, request_id: str) -> int:
     import zlib
     return (seed << 32) ^ zlib.crc32(request_id.encode("utf-8"))
 
@@ -177,9 +177,8 @@ def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
     # both the positive and the anti-attention side
     w_pos = np.take_along_axis(w, pos, axis=1)
     w_neg = np.take_along_axis(w, neg, axis=1)
-    shift = float(w_pos.max())  # scalar shift keeps exp in range
-    a_pos = _softmax_rows(w_pos, shift)
-    a_neg = _softmax_rows(w_neg, float(w_neg.max()))
+    a_pos = _softmax_rows(w_pos)
+    a_neg = _softmax_rows(w_neg)
     c_pos = np.einsum("nk,nkd->nd", a_pos, values[pos])
     c_neg = np.einsum("nk,nkd->nd", a_neg, values[neg])
     u_vec = params["user_emb"][u_idx]
@@ -202,10 +201,9 @@ def _drop_self(cand, self_col, k):
     return cand[keep].reshape(len(cand), k)
 
 
-def _softmax_rows(x, shift=None):
-    if shift is None:
-        shift = x.max(axis=1, keepdims=True)
-    e = np.exp(x - shift)
+def _softmax_rows(x):
+    """Row softmax, each row shifted by its own max so no row underflows."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -312,7 +310,7 @@ def _refresh_labels(model: CDMModel, packed, config):
         acc = model.acc_scores(u_idx, item_idx, cat_idx)
         ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
         K = _teacher_k(config, len(item_idx))
-        selected, _gains = teach.mmr_core(acc, ew, config.lam, K)
+        selected, _gains = teach.mmr_greedy(acc, ew, config.lam, K)
         y = np.zeros(len(item_idx))
         y[selected] = 1.0
         out.append(y)

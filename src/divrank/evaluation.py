@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distill
 from . import teacher as teach
-from .distill import CDMModel, win_probabilities_detached
+from .distill import CDMModel
 
 
 @dataclass
@@ -86,8 +87,11 @@ def top_k_fused(scores: np.ndarray, K: int, counters: dict | None = None):
 
     Ties break toward the smaller candidate index. With counters given,
     an instrumented heap counts key comparisons; otherwise heapq runs the
-    same algorithm uncounted.
+    same algorithm uncounted. Non-finite scores raise ValueError: NaN
+    compares false both ways and would corrupt the heap order.
     """
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("top_k_fused needs finite scores")
     n = len(scores)
     K = min(K, n)
     if K <= 0:
@@ -112,11 +116,19 @@ def fused_scores(model: CDMModel, request, gamma: float,
                  counters: dict | None = None) -> np.ndarray:
     """f(u, i) + gamma * y_stu per candidate; y_stu is skipped at gamma=0."""
     item_idx, cat_idx, _ = model.request_arrays(request)
+    return _fused_scores(model, request, item_idx, cat_idx, gamma, counters)
+
+
+def _fused_scores(model, request, item_idx, cat_idx, gamma, counters=None):
+    """fused_scores on a request already decoded to vocabulary rows."""
     u_idx = model.user_index(request.user_id)
     acc = model.acc_scores(u_idx, item_idx, cat_idx)
     if gamma == 0.0:
         return acc
-    y_stu = model.win_probabilities(request)
+    cfg = model.config
+    y_stu = distill.win_probabilities_detached(
+        model.params, u_idx, item_idx, cfg,
+        pool_seed=distill.request_pool_seed(cfg.seed, request.request_id))
     if counters is not None:
         counters["student_evals"] = counters.get("student_evals", 0) \
             + len(item_idx)
@@ -227,11 +239,12 @@ def evaluate_model(model: CDMModel, dataset, Ks, gammas) -> list:
     """
     reports = []
     num_categories = len(model.category_ids)
+    arrays = [model.request_arrays(req) for req in dataset.requests]
     for gamma in gammas:
         # fused scores do not depend on K, rank once per request
-        per_request = [fused_scores(model, req, gamma)
-                       for req in dataset.requests]
-        arrays = [model.request_arrays(req) for req in dataset.requests]
+        per_request = [_fused_scores(model, req, item_idx, cat_idx, gamma)
+                       for req, (item_idx, cat_idx, _) in zip(
+                           dataset.requests, arrays)]
         for K in Ks:
             ilads, recalls, mrrs, cat_lists = [], [], [], []
             skipped = 0
@@ -281,8 +294,12 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
     synthetic pool of N catalog items, plus the operation-count scalings
     that pin down their asymptotics.
 
-    The candidate pool is drawn (with replacement if needed) from the
-    model's catalog so both paths see identical inputs.
+    The teacher is timed twice: the quadratic re-scan (mmr_core, which the
+    speedup and the similarity-count scaling refer to) and the exact
+    incremental greedy (mmr_greedy, the strongest honest baseline). The
+    candidate pool is drawn (with replacement if needed) from the model's
+    catalog so both paths see identical inputs; distinct_items says how
+    many different items it holds.
     """
     rng = np.random.default_rng(seed)
     n_items = len(model.item_ids)
@@ -303,10 +320,12 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
 
     teacher_time = _median_time(
         lambda: teach.mmr_core(acc, ew, cfg.lam, K), repeats)
+    incremental_time = _median_time(
+        lambda: teach.mmr_greedy(acc, ew, cfg.lam, K), repeats)
 
     def student_pass():
-        y = win_probabilities_detached(model.params, u_idx, item_idx, cfg,
-                                       pool_seed=seed)
+        y = distill.win_probabilities_detached(model.params, u_idx, item_idx,
+                                               cfg, pool_seed=seed)
         return top_k_fused(acc + cfg.gamma * y, K)
 
     student_time = _median_time(student_pass, repeats)
@@ -330,6 +349,9 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
         "teacher_median_s": teacher_time,
         "student_median_s": student_time,
         "speedup": teacher_time / student_time,
+        "incremental_teacher_median_s": incremental_time,
+        "speedup_vs_incremental": incremental_time / student_time,
+        "distinct_items": len(np.unique(item_idx)),
         "sim_evals_K": counters_k["sim_evals"],
         "sim_evals_2K": counters_2k["sim_evals"],
         "sim_eval_ratio": counters_2k["sim_evals"] / counters_k["sim_evals"],

@@ -52,7 +52,8 @@ def gumbel_noise(u):
 
 
 def perturb(log_probs, rng=None) -> Tensor:
-    """Add fresh Gumbel noise to log probabilities (rng=None: zero noise)."""
+    """Add fresh Gumbel noise to log probabilities, or to any scores that
+    differ from them by a per-row constant (rng=None: zero noise)."""
     log_probs = log_probs if isinstance(log_probs, Tensor) else Tensor(log_probs)
     if rng is None:
         return log_probs

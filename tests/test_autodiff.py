@@ -193,6 +193,30 @@ class TestGathers:
         check(lambda t: ad.tsum(ad.take_per_row(t, idx)),
               RNG.standard_normal((3, 4)))
 
+    def test_gather_rows_scatter_matches_add_at(self):
+        idx = np.array([[4, 1, 4], [0, 4, 1]])
+        weights = RNG.standard_normal(idx.shape + (3,))
+        tape = Tape()
+        table = tape.leaf(RNG.standard_normal((6, 3)))
+        tape.backward(ad.tsum(ad.mul(ad.gather_rows(table, idx), weights)))
+        ref = np.zeros((6, 3))
+        np.add.at(ref, idx.reshape(-1), weights.reshape(-1, 3))
+        np.testing.assert_array_equal(table.grad, ref)
+        check(lambda t: ad.tsum(ad.mul(ad.gather_rows(t, idx), weights)),
+              RNG.standard_normal((6, 3)))
+
+    def test_take_per_row_scatter_matches_add_at(self):
+        idx = np.array([[2, 2, 0], [1, 3, 1], [0, 0, 0]])
+        weights = RNG.standard_normal(idx.shape)
+        tape = Tape()
+        a = tape.leaf(RNG.standard_normal((3, 4)))
+        tape.backward(ad.tsum(ad.mul(ad.take_per_row(a, idx), weights)))
+        ref = np.zeros((3, 4))
+        np.add.at(ref, (np.arange(3)[:, None], idx), weights)
+        np.testing.assert_array_equal(a.grad, ref)
+        check(lambda t: ad.tsum(ad.mul(ad.take_per_row(t, idx), weights)),
+              RNG.standard_normal((3, 4)))
+
     def test_add_constant_passes_grad_through(self):
         tape = Tape()
         x = tape.leaf(np.zeros(4))

@@ -29,7 +29,7 @@ class TestTrainConfig:
         ("gamma", -1.0), ("k", 0), ("tau_start", 0.01), ("tau_decay", 0.0),
         ("tau_decay", 1.5), ("infonce_t", 0.0), ("dropout", 1.0),
         ("patience", 0), ("joint_epochs", -1), ("eval_fraction", 1.0),
-        ("max_context_pool", 3),
+        ("max_context_pool", 3), ("seed", -1),
     ])
     def test_invalid_field_rejected(self, field, value):
         cfg = TrainConfig(**{field: value})

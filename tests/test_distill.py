@@ -110,6 +110,25 @@ class TestServingPath:
             np.testing.assert_allclose(fast, expit(comps["z_stu"].data),
                                        atol=1e-9)
 
+    def test_softmax_rows_shift_each_row(self):
+        # one scalar shift of 900 would give exp(-899) = 0 in the second row
+        out = distill._softmax_rows(np.array([[900.0, 899.0], [1.0, 0.5]]))
+        p = expit(1.0)
+        p_half = expit(0.5)
+        np.testing.assert_allclose(out, [[p, 1 - p], [p_half, 1 - p_half]],
+                                   rtol=1e-12)
+
+    def test_widely_spread_attention_rows_stay_finite(self,
+                                                      small_model_and_data):
+        model, ds = small_model_and_data
+        params = model.params.copy()
+        # row maxima of the attention scores now differ by far more than
+        # the ~745 that exp can span
+        params["cce_w1"] = params["cce_w1"] * 1e5
+        item_idx, _, _ = model.request_arrays(ds.requests[0])
+        probs = win_probabilities_detached(params, 0, item_idx, model.config)
+        assert np.all(np.isfinite(probs))
+
     def test_pool_subsample_is_deterministic(self, trained_small):
         model, _, _ = trained_small
         rng = np.random.default_rng(8)

@@ -31,6 +31,14 @@ class TestTopKHeap:
         scores = np.array([0.3, 0.9, 0.1])
         assert top_k_fused(scores, 10).tolist() == [1, 0, 2]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([0.1, bad, 0.3, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            top_k_fused(scores, 2)
+        with pytest.raises(ValueError, match="finite"):
+            top_k_fused(scores, 2, {"heap_comparisons": 0})
+
     def test_comparisons_grow_linearly_in_n(self):
         rng = np.random.default_rng(0)
         K = 16
@@ -128,6 +136,26 @@ class TestModelEvaluation:
         np.testing.assert_allclose(ranked.scores, fused[ranked.item_idx],
                                    atol=1e-12)
 
+    def test_each_request_decoded_once(self, trained_small, monkeypatch):
+        from divrank.data import Dataset
+        model, _, ds = trained_small
+        req = ds.requests[2]
+        item_idx, cat_idx, _ = model.request_arrays(req)
+        acc = model.acc_scores(model.user_index(req.user_id), item_idx,
+                               cat_idx)
+        want = acc + 0.3 * model.win_probabilities(req)
+        calls = []
+        decode = type(model).request_arrays
+        monkeypatch.setattr(type(model), "request_arrays",
+                            lambda self, r: calls.append(r) or decode(self, r))
+        ranked = fused_rank(model, req, K=4, gamma=0.3)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ranked.scores, want[ranked.item_idx])
+        calls.clear()
+        three = Dataset(ds.requests[:3], ds.items, vocab_from=ds)
+        ev.evaluate_model(model, three, Ks=[3, 5], gammas=[0.0, 0.1])
+        assert len(calls) == 3
+
     def test_reports_cover_grid(self, trained_small):
         model, _, ds = trained_small
         reports = ev.evaluate_model(model, ds, Ks=[3, 5], gammas=[0.0, 0.1])
@@ -162,5 +190,9 @@ class TestLatencyBench:
         assert out["student_median_s"] > 0
         # full per-step recompute: doubling K quadruples similarity work
         assert out["sim_eval_ratio"] == pytest.approx(4.0, rel=0.25)
+        assert out["incremental_teacher_median_s"] > 0
+        assert out["speedup_vs_incremental"] == pytest.approx(
+            out["incremental_teacher_median_s"] / out["student_median_s"])
+        assert 1 <= out["distinct_items"] <= min(300, len(model.item_ids))
         assert out["heap_comparison_ratio"] == pytest.approx(2.0, rel=0.25)
         assert out["environment"]["numpy"]

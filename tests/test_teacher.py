@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from divrank import teacher
 from divrank.teacher import (brute_force_core, div_score,
-                             interest_similarity, mmr_core)
+                             interest_similarity, mmr_core, mmr_greedy)
 
 RNG = np.random.default_rng(42)
 
@@ -109,6 +109,37 @@ class TestGreedySelection:
         assert counters["sim_evals"] == expected
 
 
+class TestIncrementalGreedy:
+    def test_matches_quadratic_core_on_1200_instances(self):
+        for trial in range(1200):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(5, 301))
+            K = int(rng.integers(1, min(n, 60) + 1))
+            lam = (0.0, 0.1, 1.0, 5.0)[trial % 4]
+            # two decimals force accuracy ties; repeated rows force
+            # similarity ties
+            acc = np.round(rng.uniform(0.0, 1.0, size=n), 2)
+            ew = rng.standard_normal((n, int(rng.integers(2, 17))))
+            if trial % 3 == 0:
+                ew[rng.integers(n, size=n // 3)] = ew[rng.integers(n)]
+            want, want_gains = mmr_core(acc, ew, lam, K)
+            got, got_gains = mmr_greedy(acc, ew, lam, K)
+            assert got == want, f"trial {trial}"
+            np.testing.assert_allclose(got_gains, want_gains, rtol=0.0,
+                                       atol=1e-12)
+
+    def test_k_too_large_rejected(self):
+        acc, ew = random_instance(n=4)
+        with pytest.raises(ValueError):
+            mmr_greedy(acc, ew, 0.1, K=5)
+
+    def test_counter_counts_one_row_per_pick(self):
+        acc, ew = random_instance(n=20)
+        counters = {}
+        mmr_greedy(acc, ew, 0.1, K=5, counters=counters)
+        assert counters["sim_evals"] == 4 * 20
+
+
 class TestBruteForceOracle:
     def test_oracle_at_least_greedy(self):
         for trial in range(30):
@@ -150,6 +181,20 @@ class TestRequestLevel:
         assert set(np.flatnonzero(lab.y_tea)) == set(lab.winning_idx)
         for i, iid in zip(lab.winning_idx, lab.winning_ids):
             assert req.candidates[i].item_id == iid
+
+    def test_labels_match_quadratic_core(self, small_model_and_data):
+        model, ds = small_model_and_data
+        for req in ds.requests[:8]:
+            lab = teacher.mmr_select(req, model, lam=0.5, K=6)
+            item_idx, cat_idx, _ = model.request_arrays(req)
+            u_idx = model.user_index(req.user_id)
+            acc = model.acc_scores(u_idx, item_idx, cat_idx)
+            ew = model.params["item_emb"][item_idx] \
+                * model.params["user_emb"][u_idx]
+            selected, gains = mmr_core(acc, ew, 0.5, 6)
+            assert lab.winning_idx.tolist() == selected
+            np.testing.assert_allclose(lab.gains, gains, rtol=0.0,
+                                       atol=1e-12)
 
     def test_brute_force_request_matches_core(self, small_model_and_data):
         model, ds = small_model_and_data
