@@ -12,7 +12,6 @@ import numpy as np
 from scipy.special import expit
 
 EPS_LOG = 1e-12          # lower clamp for log arguments
-ONE_MINUS = 1.0 - 1e-7   # upper clamp for log(1 - p)
 
 
 class ShapeError(ValueError):
@@ -301,19 +300,6 @@ def log(a):
     return _record(a.tape, out, (a,), back)
 
 
-def log1m_clamped(a):
-    """log(1 - a) with a clamped to <= 1 - 1e-7 (singular at 1)."""
-    a = _coerce(a)
-    clamped = np.minimum(a.data, ONE_MINUS)
-    out = np.log1p(-clamped)
-    active = a.data <= ONE_MINUS
-
-    def back(g):
-        return (np.where(active, -g / (1.0 - clamped), 0.0),)
-
-    return _record(a.tape, out, (a,), back)
-
-
 def softplus(a):
     """log(1 + e^x), overflow-safe."""
     a = _coerce(a)
@@ -382,32 +368,16 @@ def reshape(a, shape):
 # softmax family
 
 
-def softmax_t(a, tau: float, axis=-1):
-    """Tempered softmax with max-subtraction; rows sum to 1."""
-    if tau <= 0.0:
-        raise DomainError(f"temperature must be positive, got {tau}")
+def softmax(a, axis=-1):
+    """Softmax with max-subtraction; rows sum to 1."""
     a = _coerce(a)
-    z = a.data / tau
-    z = z - z.max(axis=axis, keepdims=True)
+    z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out / tau,)
-
-    return _record(a.tape, out, (a,), back)
-
-
-def log_softmax(a, axis=-1):
-    a = _coerce(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-    p = np.exp(out)
-
-    def back(g):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
+        return ((g - dot) * out,)
 
     return _record(a.tape, out, (a,), back)
 

@@ -36,9 +36,6 @@ class TrainConfig:
     beta2: float = 0.1          # InfoNCE loss weight
     k: int = 8                  # context sample size per side
     K_teacher: int | None = None  # None -> ceil(0.2 * N) per request
-    tau_start: float = 1.0
-    tau_end: float = 0.05
-    tau_decay: float = 0.85
     infonce_t: float = 0.2
     dropout: float = 0.25
     patience: int = 10
@@ -61,10 +58,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if not (self.tau_start >= self.tau_end > 0):
-            raise ConfigError("need tau_start >= tau_end > 0")
-        if not (0.0 < self.tau_decay <= 1.0):
-            raise ConfigError("tau_decay must be in (0, 1]")
         if self.infonce_t <= 0:
             raise ConfigError("infonce_t must be positive")
         if not (0.0 <= self.dropout < 1.0):

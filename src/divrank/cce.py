@@ -100,12 +100,12 @@ def _pool(weights: Tensor, values: Tensor) -> Tensor:
 
 def positive_context(w_tilde: Tensor, values: Tensor) -> Tensor:
     """softmax-weighted pooling of the sampled value rows (target attention)."""
-    return _pool(ad.softmax_t(w_tilde, 1.0, axis=-1), values)
+    return _pool(ad.softmax(w_tilde), values)
 
 
 def negative_context(w_tilde: Tensor, values: Tensor) -> Tensor:
     """Anti-attention: weights from the negated perturbed scores."""
-    return _pool(ad.softmax_t(ad.neg(w_tilde), 1.0, axis=-1), values)
+    return _pool(ad.softmax(ad.neg(w_tilde)), values)
 
 
 def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float) -> Tensor:

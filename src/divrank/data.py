@@ -30,7 +30,6 @@ class CandidateEntry:
 class Item:
     item_id: str
     category_id: str
-    extra_features: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.requests)
-
-    def category_of(self, item_id: str) -> str:
-        return self.items[item_id].category_id
-
-    def request_arrays(self, request: Request):
-        """(item_ids, category_ids, labels) as arrays; label -1 = unshown."""
-        n = len(request.candidates)
-        item_ids = np.empty(n, dtype=np.int64)
-        cat_ids = np.empty(n, dtype=np.int64)
-        labels = np.full(n, -1, dtype=np.int64)
-        for j, cand in enumerate(request.candidates):
-            item_ids[j] = self.item_vocab[cand.item_id]
-            cat_ids[j] = self.category_vocab[self.items[cand.item_id].category_id]
-            if cand.label is not None:
-                labels[j] = cand.label
-        return item_ids, cat_ids, labels
 
 
 def _parse_request(obj, line_no):

@@ -23,7 +23,6 @@ from . import teacher as teach
 from .autodiff import ParamStore, Tensor
 from .backbone import TrainConfig, VocabError
 from .data import Dataset, split_train_eval
-from .sampler import AnnealSchedule, anneal
 
 ALL_PARAM_NAMES = bb.BACKBONE_PARAM_NAMES + cce.CCE_PARAM_NAMES
 
@@ -101,28 +100,10 @@ class CDMModel:
                 labels[j] = cand.label
         return item_idx, cat_idx, labels
 
-    def embed_item(self, item_id: str, P=None) -> Tensor:
-        idx = self.item_index(item_id)
-        if P is None:
-            return Tensor(self.params["item_emb"][idx])
-        return ad.reshape(ad.gather_rows(P["item_emb"], [idx]), (-1,))
-
-    def embed_user(self, user_id: str, P=None) -> Tensor:
-        idx = self.user_index(user_id)
-        if P is None:
-            return Tensor(self.params["user_emb"][idx])
-        return ad.reshape(ad.gather_rows(P["user_emb"], [idx]), (-1,))
-
     # --- detached (eval-mode) scoring ----------------------------------
 
     def acc_scores(self, u_idx: int, item_idx, cat_idx) -> np.ndarray:
         return bb.score_all_detached(self.params, u_idx, item_idx, cat_idx)
-
-    def score(self, user_id: str, item_id: str) -> float:
-        u = self.user_index(user_id)
-        i = self.item_index(item_id)
-        c = self._cat_row[self.item_category[item_id]]
-        return float(self.acc_scores(u, [i], [c])[0])
 
     def win_probabilities(self, request) -> np.ndarray:
         item_idx, cat_idx, _ = self.request_arrays(request)
@@ -219,16 +200,6 @@ def kd_loss(y_stu: Tensor, y_tea) -> Tensor:
 def _kd_from_logits(z: Tensor, y_tea) -> Tensor:
     # softplus(z) - y*z == -y log(sigma) - (1-y) log(1-sigma), stable
     return ad.tmean(ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z)))
-
-
-def win_probability(model: CDMModel, target_item_id: str, request) -> float:
-    """Single-target y_stu = sigma(q . C) in eval mode."""
-    probs = model.win_probabilities(request)
-    for j, cand in enumerate(request.candidates):
-        if cand.item_id == target_item_id:
-            return float(probs[j])
-    raise VocabError(f"item {target_item_id!r} not in request "
-                     f"{request.request_id!r}")
 
 
 def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
@@ -382,13 +353,11 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         history.append({"phase": "warmup", "epoch": epoch,
                         "train_bce": _mean(losses), "val_bce": val_bce})
 
-    # phase 2: joint loss with per-epoch teacher refresh and tau annealing
-    sched = AnnealSchedule(config.tau_start, config.tau_end, config.tau_decay)
+    # phase 2: joint loss with per-epoch teacher refresh
     best_params = model.params.copy()
     best_val = math.inf
     stale = 0
     for epoch in range(config.joint_epochs):
-        tau = anneal(sched, epoch)
         train_labels = _refresh_labels(model, train_packed, config)
         val_labels = _refresh_labels(model, val_packed, config)
         order = rng.permutation(len(train_packed))
@@ -418,7 +387,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         val_total, val_comps = _joint_val_loss(model, val_packed, val_labels,
                                                config)
         check_finite(val_total, epoch, -1)
-        history.append({"phase": "joint", "epoch": epoch, "tau": tau,
+        history.append({"phase": "joint", "epoch": epoch,
                         "train_total": _mean(sums["total"]),
                         "train_bce": _mean(sums["bce"]),
                         "train_kd": _mean(sums["kd"]),

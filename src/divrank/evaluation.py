@@ -116,23 +116,23 @@ def fused_scores(model: CDMModel, request, gamma: float,
                  counters: dict | None = None) -> np.ndarray:
     """f(u, i) + gamma * y_stu per candidate; y_stu is skipped at gamma=0."""
     item_idx, cat_idx, _ = model.request_arrays(request)
-    return _fused_scores(model, request, item_idx, cat_idx, gamma, counters)
-
-
-def _fused_scores(model, request, item_idx, cat_idx, gamma, counters=None):
-    """fused_scores on a request already decoded to vocabulary rows."""
     u_idx = model.user_index(request.user_id)
     acc = model.acc_scores(u_idx, item_idx, cat_idx)
     if gamma == 0.0:
         return acc
-    cfg = model.config
-    y_stu = distill.win_probabilities_detached(
-        model.params, u_idx, item_idx, cfg,
-        pool_seed=distill.request_pool_seed(cfg.seed, request.request_id))
+    y_stu = _student_scores(model, request, u_idx, item_idx)
     if counters is not None:
         counters["student_evals"] = counters.get("student_evals", 0) \
             + len(item_idx)
     return acc + gamma * y_stu
+
+
+def _student_scores(model, request, u_idx, item_idx):
+    """CDMModel.win_probabilities for a request already decoded to rows."""
+    cfg = model.config
+    return distill.win_probabilities_detached(
+        model.params, u_idx, item_idx, cfg,
+        pool_seed=distill.request_pool_seed(cfg.seed, request.request_id))
 
 
 def fused_rank(model: CDMModel, request, K: int, gamma: float,
@@ -240,11 +240,17 @@ def evaluate_model(model: CDMModel, dataset, Ks, gammas) -> list:
     reports = []
     num_categories = len(model.category_ids)
     arrays = [model.request_arrays(req) for req in dataset.requests]
+    # neither score depends on gamma or K: score each request once
+    need_student = any(gamma != 0.0 for gamma in gammas)
+    acc, y_stu = [], []
+    for req, (item_idx, cat_idx, _) in zip(dataset.requests, arrays):
+        u_idx = model.user_index(req.user_id)
+        acc.append(model.acc_scores(u_idx, item_idx, cat_idx))
+        if need_student:
+            y_stu.append(_student_scores(model, req, u_idx, item_idx))
     for gamma in gammas:
-        # fused scores do not depend on K, rank once per request
-        per_request = [_fused_scores(model, req, item_idx, cat_idx, gamma)
-                       for req, (item_idx, cat_idx, _) in zip(
-                           dataset.requests, arrays)]
+        per_request = acc if gamma == 0.0 else \
+            [a + gamma * y for a, y in zip(acc, y_stu)]
         for K in Ks:
             ilads, recalls, mrrs, cat_lists = [], [], [], []
             skipped = 0

@@ -195,33 +195,7 @@ class TestPlackettLuce:
 
 
 # ---------------------------------------------------------------------------
-# 4. relaxed subset selection: mass conservation and the hard limit
-
-
-class TestRelaxation:
-    def test_mass_sums_to_k_within_1e9(self):
-        rng = np.random.default_rng(SEED + 5)
-        for k in (1, 3, 7):
-            for _ in range(50):
-                out = sampler.relaxed_topk(Tensor(rng.standard_normal(20)),
-                                           k, tau=rng.uniform(0.05, 2.0))
-                assert abs(out.a.data.sum() - k) < 1e-9
-
-    def test_cold_temperature_limit_within_1e3(self):
-        # mass leaks as exp(-gap / tau), so the limit needs a score gap
-        # at the selection boundary; 0.1 >> tau * ln(1e3)
-        rng = np.random.default_rng(SEED + 6)
-        for _ in range(50):
-            v = rng.permutation(np.linspace(-2.0, 2.0, 12))
-            v += rng.uniform(-0.05, 0.05, size=12)
-            out = sampler.relaxed_topk(Tensor(v), 4, tau=0.01)
-            hard = np.zeros(12)
-            hard[sampler.hard_topk(v, 4)] = 1.0
-            assert np.abs(out.a.data - hard).max() < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# 5. distillation quality on the default synthetic set
+# 4. distillation quality on the default synthetic set
 
 
 class TestDistillationQuality:
@@ -242,7 +216,7 @@ class TestDistillationQuality:
 
 
 # ---------------------------------------------------------------------------
-# 6. the fusion weight buys diversity at evaluation time
+# 5. the fusion weight buys diversity at evaluation time
 
 
 GAMMAS = [0.0, 0.05, 0.10, 0.15, 0.20, 0.25]
@@ -282,7 +256,7 @@ class TestFusionSweep:
 
 
 # ---------------------------------------------------------------------------
-# 7. serving cost: wall clock and operation-count scaling
+# 6. serving cost: wall clock and operation-count scaling
 
 
 class TestServingCost:
@@ -303,7 +277,7 @@ class TestServingCost:
 
 
 # ---------------------------------------------------------------------------
-# 8. metric hand cases, exact to 1e-12
+# 7. metric hand cases, exact to 1e-12
 
 
 class TestMetricHandCases:
@@ -328,7 +302,7 @@ class TestMetricHandCases:
 
 
 # ---------------------------------------------------------------------------
-# 9. reproducibility and checkpoint integrity
+# 8. reproducibility and checkpoint integrity
 
 
 class TestReproducibility:

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from divrank import data
+from divrank.backbone import TrainConfig
 from divrank.data import (DataError, Dataset,
                           SyntheticSpec, Vocab, generate_latents,
                           generate_synthetic, load_jsonl, save_jsonl,
                           split_train_eval)
+from divrank.distill import CDMModel
 
 
 def write_lines(path, lines):
@@ -96,7 +98,8 @@ class TestVocab:
         p = tmp_path / "d.jsonl"
         write_lines(p, [valid_line()])
         ds = load_jsonl(p)
-        _, _, labels = ds.request_arrays(ds.requests[0])
+        model = CDMModel.from_dataset(ds, TrainConfig())
+        _, _, labels = model.request_arrays(ds.requests[0])
         assert labels.tolist() == [1, 0, -1]
 
 
@@ -199,7 +202,8 @@ class TestSplit:
         assert train.item_vocab is ds.item_vocab
         assert evals.user_vocab is ds.user_vocab
         for req in evals.requests:
-            evals.request_arrays(req)  # never raises on unseen-side ids
+            for cand in req.candidates:
+                assert cand.item_id in evals.item_vocab
 
     def test_degenerate_fractions_rejected(self):
         ds = generate_synthetic(SMALL)

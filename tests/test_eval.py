@@ -144,7 +144,7 @@ class TestModelEvaluation:
         acc = model.acc_scores(model.user_index(req.user_id), item_idx,
                                cat_idx)
         want = acc + 0.3 * model.win_probabilities(req)
-        calls = []
+        calls, acc_calls = [], []
         decode = type(model).request_arrays
         monkeypatch.setattr(type(model), "request_arrays",
                             lambda self, r: calls.append(r) or decode(self, r))
@@ -152,9 +152,14 @@ class TestModelEvaluation:
         assert len(calls) == 1
         np.testing.assert_array_equal(ranked.scores, want[ranked.item_idx])
         calls.clear()
+        score = type(model).acc_scores
+        monkeypatch.setattr(type(model), "acc_scores",
+                            lambda self, *a: acc_calls.append(a)
+                            or score(self, *a))
         three = Dataset(ds.requests[:3], ds.items, vocab_from=ds)
-        ev.evaluate_model(model, three, Ks=[3, 5], gammas=[0.0, 0.1])
+        ev.evaluate_model(model, three, Ks=[3, 5], gammas=[0.0, 0.1, 0.25])
         assert len(calls) == 3
+        assert len(acc_calls) == 3
 
     def test_reports_cover_grid(self, trained_small):
         model, _, ds = trained_small

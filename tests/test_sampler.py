@@ -1,15 +1,13 @@
-"""Gumbel-Top-k sampling: noise distribution, hard selection, the
-iterated softmax relaxation and the annealing schedule.
+"""Gumbel-Top-k sampling: noise distribution, perturbation, hard
+selection and draw frequencies.
 """
 
 import numpy as np
 import pytest
 
 from divrank import autodiff as ad
-from divrank import sampler
 from divrank.autodiff import DomainError, Tape, Tensor
-from divrank.sampler import (AnnealSchedule, anneal, gumbel_noise, hard_topk,
-                             perturb, relaxed_topk)
+from divrank.sampler import gumbel_noise, hard_topk, perturb
 
 RNG = np.random.default_rng(99)
 
@@ -64,40 +62,6 @@ class TestHardTopk:
             hard_topk(np.ones(3), 4)
 
 
-class TestRelaxedTopk:
-    def test_mass_sums_to_k(self):
-        for k in (1, 2, 4):
-            out = relaxed_topk(Tensor(RNG.standard_normal(9)), k, tau=0.5)
-            assert out.a.data.sum() == pytest.approx(k, abs=1e-9)
-            assert len(out.steps) == k
-
-    def test_low_temperature_approaches_hard_selection(self):
-        v = RNG.standard_normal(8)
-        out = relaxed_topk(Tensor(v), 3, tau=0.01)
-        hard = np.zeros(8)
-        hard[hard_topk(v, 3)] = 1.0
-        assert np.abs(out.a.data - hard).max() < 1e-3
-
-    def test_high_temperature_spreads_mass(self):
-        out = relaxed_topk(Tensor(RNG.standard_normal(8)), 2, tau=50.0)
-        assert out.a.data.max() < 0.5
-
-    def test_differentiable_grad_check(self):
-        v = RNG.standard_normal(6)
-        w = RNG.standard_normal(6)
-
-        def f(leaf):
-            return ad.tsum(ad.mul(relaxed_topk(leaf, 2, tau=0.7).a, w))
-
-        assert ad.grad_check(f, v) < 1e-5
-
-    def test_bad_arguments(self):
-        with pytest.raises(DomainError):
-            relaxed_topk(Tensor(np.ones(3)), 4, tau=0.5)
-        with pytest.raises(DomainError):
-            relaxed_topk(Tensor(np.ones(3)), 2, tau=0.0)
-
-
 class TestSampleFrequencies:
     def test_top1_matches_softmax_probabilities(self):
         # Gumbel argmax draws follow the softmax of the logits
@@ -110,20 +74,3 @@ class TestSampleFrequencies:
             counts[int(np.argmax(pert.data))] += 1
         np.testing.assert_allclose(counts / draws, [0.5, 0.3, 0.2], atol=0.01)
 
-
-class TestAnnealSchedule:
-    def test_exponential_decay_with_floor(self):
-        sched = AnnealSchedule(tau_start=1.0, tau_end=0.1, decay=0.5)
-        assert anneal(sched, 0) == 1.0
-        assert anneal(sched, 1) == 0.5
-        assert anneal(sched, 2) == 0.25
-        assert anneal(sched, 10) == 0.1
-        assert sched.current == 0.1
-
-    def test_invalid_parameters(self):
-        with pytest.raises(DomainError):
-            AnnealSchedule(tau_start=0.01, tau_end=0.1)
-        with pytest.raises(DomainError):
-            AnnealSchedule(decay=0.0)
-        with pytest.raises(DomainError):
-            anneal(AnnealSchedule(), -1)
