@@ -136,10 +136,6 @@ class Tensor:
         return matmul(self, other)
 
 
-def constant(values) -> Tensor:
-    return Tensor(values)
-
-
 def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 

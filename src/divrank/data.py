@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 from scipy.special import expit
@@ -34,9 +35,21 @@ class Item:
 
 @dataclass(frozen=True)
 class Request:
+    """One request: its candidates' item ids and labels, in input order.
+
+    A label is 1 (clicked), 0 (shown, not clicked) or -1 (never shown).
+    """
+
     request_id: str
     user_id: str
-    candidates: tuple
+    item_ids: tuple
+    labels: tuple
+
+    @property
+    def candidates(self):
+        """The candidates as CandidateEntry objects, label None if unshown."""
+        return tuple(CandidateEntry(iid, None if y < 0 else y)
+                     for iid, y in zip(self.item_ids, self.labels))
 
 
 @dataclass
@@ -44,6 +57,11 @@ class Vocab:
     """Deterministic string -> id assignment in first-seen order."""
 
     _ids: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, keys):
+        """A vocabulary of the distinct keys in first-seen order."""
+        return cls(dict(zip(dict.fromkeys(keys), count())))
 
     def get_or_add(self, key: str) -> int:
         if key not in self._ids:
@@ -76,49 +94,77 @@ class Dataset:
             self.category_vocab = vocab_from.category_vocab
             self.user_vocab = vocab_from.user_vocab
             return
-        self.item_vocab = Vocab()
-        self.category_vocab = Vocab()
-        self.user_vocab = Vocab()
-        for req in self.requests:
-            self.user_vocab.get_or_add(req.user_id)
-            for cand in req.candidates:
-                item = self.items[cand.item_id]
-                self.item_vocab.get_or_add(item.item_id)
-                self.category_vocab.get_or_add(item.category_id)
+        self.user_vocab = Vocab.of(req.user_id for req in self.requests)
+        self.item_vocab = Vocab.of(chain.from_iterable(
+            req.item_ids for req in self.requests))
+        # an item's category is fixed, so categories first seen over the
+        # distinct items come in the same order as over every candidate
+        self.category_vocab = Vocab.of(self.items[iid].category_id
+                                       for iid in self.item_vocab.keys())
 
     def __len__(self):
         return len(self.requests)
 
 
-def _parse_request(obj, line_no):
+_LABEL_CODE = {None: -1, 0: 0, 1: 1}
+
+
+def _parse_request(obj, line_no, category_of):
+    """Validate one parsed line into a Request; category_of (item id ->
+    category id over the lines so far) gains the line's new items."""
+    def fail(msg):
+        raise DataError(f"line {line_no}: {msg}")
+
+    if type(obj) is not dict:
+        fail(f"expected a JSON object, got {type(obj).__name__}")
     for field_name in ("request_id", "user_id", "candidates"):
         if field_name not in obj:
-            raise DataError(f"line {line_no}: missing field {field_name!r}")
-    cands = []
-    items = {}
-    seen = set()
-    for c in obj["candidates"]:
-        if "item_id" not in c or "category" not in c:
-            raise DataError(
-                f"line {line_no}: candidate missing item_id or category")
-        iid = c["item_id"]
-        if iid in seen:
-            raise DataError(f"line {line_no}: duplicate item {iid!r} in request")
-        seen.add(iid)
-        label = c.get("label")
-        if label is not None and label not in (0, 1):
-            raise DataError(f"line {line_no}: label must be 0 or 1, got {label!r}")
-        cands.append(CandidateEntry(item_id=iid, label=label))
-        items[iid] = Item(item_id=iid, category_id=c["category"])
-    if len(cands) < 2:
-        raise DataError(f"line {line_no}: request needs at least 2 candidates")
+            fail(f"missing field {field_name!r}")
+    for field_name in ("request_id", "user_id"):
+        if type(obj[field_name]) is not str:
+            fail(f"{field_name} must be a string, got {obj[field_name]!r}")
+    cands = obj["candidates"]
+    if type(cands) is not list:
+        fail(f"candidates must be a list, got {type(cands).__name__}")
+    if not set(map(type, cands)) <= {dict}:
+        fail("every candidate must be a JSON object")
+    try:
+        ids = [c["item_id"] for c in cands]
+        cats = [c["category"] for c in cands]
+    except KeyError:
+        fail("candidate missing item_id or category")
+    for name, values in (("item_id", ids), ("category", cats)):
+        if not set(map(type, values)) <= {str}:
+            bad = next(v for v in values if type(v) is not str)
+            fail(f"{name} must be a string, got {bad!r}")
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for iid in ids:
+            if iid in seen:
+                fail(f"duplicate item {iid!r} in request")
+            seen.add(iid)
+    try:
+        labels = tuple([_LABEL_CODE[c.get("label")] for c in cands])
+    except (KeyError, TypeError):
+        bad = next(y for y in (c.get("label") for c in cands)
+                   if not (y is None or y in (0, 1)))
+        fail(f"label must be 0 or 1, got {bad!r}")
+    if len(ids) < 2:
+        fail("request needs at least 2 candidates")
+    if list(map(category_of.setdefault, ids, cats)) != cats:
+        iid, cat = next((i, c) for i, c in zip(ids, cats)
+                        if category_of[i] != c)
+        fail(f"item {iid!r} has category {cat!r} here but "
+             f"{category_of[iid]!r} on an earlier line")
     return Request(request_id=obj["request_id"], user_id=obj["user_id"],
-                   candidates=tuple(cands)), items
+                   item_ids=tuple(ids), labels=labels)
 
 
 def load_jsonl(path) -> Dataset:
+    """Read and validate a request file in one pass per line. A line that
+    is not a valid request raises DataError naming the line."""
     requests = []
-    items = {}
+    category_of = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -128,9 +174,8 @@ def load_jsonl(path) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"line {line_no}: malformed JSON ({e.msg})") from e
-            req, req_items = _parse_request(obj, line_no)
-            requests.append(req)
-            items.update(req_items)
+            requests.append(_parse_request(obj, line_no, category_of))
+    items = {iid: Item(iid, cat) for iid, cat in category_of.items()}
     return Dataset(requests, items)
 
 
@@ -138,11 +183,11 @@ def save_jsonl(dataset: Dataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         for req in dataset.requests:
             cands = []
-            for c in req.candidates:
-                entry = {"item_id": c.item_id,
-                         "category": dataset.items[c.item_id].category_id}
-                if c.label is not None:
-                    entry["label"] = int(c.label)
+            for iid, label in zip(req.item_ids, req.labels):
+                entry = {"item_id": iid,
+                         "category": dataset.items[iid].category_id}
+                if label >= 0:
+                    entry["label"] = label
                 cands.append(entry)
             fh.write(json.dumps({"request_id": req.request_id,
                                  "user_id": req.user_id,
@@ -251,13 +296,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         p_click = expit(spec.preference_concentration * affinity)
         clicks = rng.random(n) < p_click
 
-        cands = []
-        shown_set = set(shown.tolist())
-        for j, idx in enumerate(cand_idx):
-            label = int(clicks[j]) if j in shown_set else None
-            cands.append(CandidateEntry(item_id=f"i{idx}", label=label))
-        requests.append(Request(request_id=f"r{r}", user_id=f"u{u}",
-                                candidates=tuple(cands)))
+        labels = np.full(n, -1, dtype=np.int64)
+        labels[shown] = clicks[shown]
+        requests.append(Request(
+            request_id=f"r{r}", user_id=f"u{u}",
+            item_ids=tuple(f"i{idx}" for idx in cand_idx.tolist()),
+            labels=tuple(labels.tolist())))
     return Dataset(requests, items)
 
 

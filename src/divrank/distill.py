@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class CDMModel:
         self._item_row = {k: i for i, k in enumerate(self.item_ids)}
         self._cat_row = {k: i for i, k in enumerate(self.category_ids)}
         self._user_row = {k: i for i, k in enumerate(self.user_ids)}
+        # category row of each item row, so decoding is one lookup per id
+        self._item_cat_row = np.array(
+            [self._cat_row[c] for c in self.item_category.values()],
+            dtype=np.int64)
         if params is None:
             params = ParamStore()
             rng = np.random.default_rng(
@@ -89,16 +94,15 @@ class CDMModel:
         return self._item_row[item_id]
 
     def request_arrays(self, request):
-        n = len(request.candidates)
-        item_idx = np.empty(n, dtype=np.int64)
-        cat_idx = np.empty(n, dtype=np.int64)
-        labels = np.full(n, -1, dtype=np.int64)
-        for j, cand in enumerate(request.candidates):
-            item_idx[j] = self.item_index(cand.item_id)
-            cat_idx[j] = self._cat_row[self.item_category[cand.item_id]]
-            if cand.label is not None:
-                labels[j] = cand.label
-        return item_idx, cat_idx, labels
+        """(item rows, category rows, labels) of a request's candidates."""
+        ids = request.item_ids
+        try:
+            item_idx = np.fromiter(map(self._item_row.__getitem__, ids),
+                                   dtype=np.int64, count=len(ids))
+        except KeyError as e:
+            raise VocabError(f"unknown item id: {e.args[0]!r}") from None
+        return (item_idx, self._item_cat_row[item_idx],
+                np.array(request.labels, dtype=np.int64))
 
     # --- detached (eval-mode) scoring ----------------------------------
 
@@ -249,21 +253,6 @@ def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
                    ad.add(ad.scale(loss_kd, config.beta1),
                           ad.scale(loss_nce, config.beta2)))
     return total, components
-
-
-def total_loss(model: CDMModel, request, config: TrainConfig | None = None,
-               y_tea=None, rng=None, training=False, P=None):
-    """Convenience wrapper mapping a Request through request_loss."""
-    config = config or model.config
-    item_idx, cat_idx, labels = model.request_arrays(request)
-    u_idx = model.user_index(request.user_id)
-    if y_tea is None:
-        K = config.K_teacher or math.ceil(0.2 * len(item_idx))
-        y_tea = teach.mmr_select(request, model, config.lam, K).y_tea
-    if P is None:
-        P = {name: Tensor(arr) for name, arr in model.params.items()}
-    return request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                        config, rng=rng, training=training)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +428,35 @@ def _joint_val_loss(model, packed, labels_list, config):
 
 
 def save_checkpoint(model: CDMModel, path, history=None):
-    os.makedirs(path, exist_ok=True)
+    """Write a checkpoint directory without ever exposing a partial one.
+
+    Every file is written into a temporary sibling directory first. A new
+    path is that directory renamed into place; into an existing directory
+    the files are renamed one by one, a history.json left from an earlier
+    save is removed when this one has none, and other files stay. A
+    failed write leaves the path as it was.
+    """
+    path = os.path.normpath(path)
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f".{os.path.basename(path)}.tmp{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.mkdir(tmp)
+    try:
+        _write_checkpoint(model, tmp, history)
+        if not os.path.exists(path):
+            os.rename(tmp, path)
+            return
+        for name in sorted(os.listdir(tmp)):
+            os.replace(os.path.join(tmp, name), os.path.join(path, name))
+        if history is None and os.path.exists(
+                os.path.join(path, "history.json")):
+            os.remove(os.path.join(path, "history.json"))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _write_checkpoint(model: CDMModel, path, history):
     manifest = []
     offset = 0
     blob = bytearray()

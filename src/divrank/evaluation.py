@@ -102,10 +102,12 @@ def top_k_fused(scores: np.ndarray, K: int, counters: dict | None = None):
             heap.push((scores[i], -i))
         best = heap.sorted_desc()
     else:
-        heap = [(scores[i], -i) for i in range(K)]
+        # python floats compare faster than numpy scalars, in the same order
+        values = scores.tolist()
+        heap = [(values[i], -i) for i in range(K)]
         heapq.heapify(heap)
         for i in range(K, n):
-            key = (scores[i], -i)
+            key = (values[i], -i)
             if heap[0] < key:
                 heapq.heapreplace(heap, key)
         best = sorted(heap, reverse=True)
@@ -140,7 +142,7 @@ def fused_rank(model: CDMModel, request, K: int, gamma: float,
     scores = fused_scores(model, request, gamma, counters)
     idx = top_k_fused(scores, K, counters)
     return RankedList(request_id=request.request_id, item_idx=idx,
-                      item_ids=[request.candidates[i].item_id for i in idx],
+                      item_ids=[request.item_ids[i] for i in idx],
                       scores=scores[idx])
 
 
@@ -315,10 +317,7 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
 
     def draw(n):
         item_idx = np.sort(rng.choice(n_items, size=n, replace=replace or n > n_items))
-        cat_idx = np.asarray(
-            [model._cat_row[model.item_category[model.item_ids[i]]]
-             for i in item_idx], dtype=np.int64)
-        return item_idx, cat_idx
+        return item_idx, model._item_cat_row[item_idx]
 
     item_idx, cat_idx = draw(N)
     acc = model.acc_scores(u_idx, item_idx, cat_idx)

@@ -111,7 +111,7 @@ def mmr_select(request, model, lam, K, counters=None) -> TeacherLabeling:
     y_tea[selected] = 1.0
     return TeacherLabeling(
         request_id=request.request_id,
-        winning_ids=[request.candidates[i].item_id for i in selected],
+        winning_ids=[request.item_ids[i] for i in selected],
         winning_idx=np.asarray(selected, dtype=np.int64),
         y_tea=y_tea,
         gains=gains,
@@ -146,11 +146,3 @@ def brute_force_core(acc, ew, lam, K, limit=10**6):
             best_subset = subset
     return list(best_subset), float(best_val)
 
-
-def brute_force_best_subset(request, model, lam, K):
-    item_idx, cat_idx, _ = model.request_arrays(request)
-    u_idx = model.user_index(request.user_id)
-    acc = model.acc_scores(u_idx, item_idx, cat_idx)
-    ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
-    subset, value = brute_force_core(acc, ew, lam, K)
-    return [request.candidates[i].item_id for i in subset], value

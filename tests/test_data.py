@@ -9,7 +9,7 @@ import pytest
 
 from divrank import data
 from divrank.backbone import TrainConfig
-from divrank.data import (DataError, Dataset,
+from divrank.data import (CandidateEntry, DataError, Dataset,
                           SyntheticSpec, Vocab, generate_latents,
                           generate_synthetic, load_jsonl, save_jsonl,
                           split_train_eval)
@@ -37,13 +37,21 @@ class TestLoadJsonl:
         write_lines(p, [valid_line("r1"), valid_line("r2", "u2")])
         ds = load_jsonl(p)
         assert len(ds) == 2
-        assert ds.requests[0].candidates[0].label == 1
-        assert ds.requests[0].candidates[2].label is None
+        assert ds.requests[0].item_ids == ("i0", "i1", "i2")
+        assert ds.requests[0].labels == (1, 0, -1)
         out = tmp_path / "out.jsonl"
         save_jsonl(ds, out)
         ds2 = load_jsonl(out)
         assert ds2.requests[0] == ds.requests[0]
         assert ds2.items == ds.items
+
+    def test_candidates_property_derives_entries(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [valid_line()])
+        req = load_jsonl(p).requests[0]
+        assert req.candidates == (CandidateEntry("i0", 1),
+                                  CandidateEntry("i1", 0),
+                                  CandidateEntry("i2", None))
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -68,6 +76,22 @@ class TestLoadJsonl:
         (json.dumps({"request_id": "r", "user_id": "u",
                      "candidates": [{"item_id": "a", "category": "c"}]}),
          "at least 2"),
+        ("5", "expected a JSON object, got int"),
+        (json.dumps({"request_id": "r", "user_id": "u", "candidates": 7}),
+         "candidates must be a list"),
+        (json.dumps({"request_id": "r", "user_id": "u",
+                     "candidates": [{"item_id": [1], "category": "c"},
+                                    {"item_id": "b", "category": "c"}]}),
+         "item_id must be a string, got [1]"),
+        (json.dumps({"request_id": "r", "user_id": {"a": 1},
+                     "candidates": [{"item_id": "a", "category": "c"},
+                                    {"item_id": "b", "category": "c"}]}),
+         "user_id must be a string"),
+        # valid_line puts i0 under c0
+        (json.dumps({"request_id": "r", "user_id": "u",
+                     "candidates": [{"item_id": "i0", "category": "c1"},
+                                    {"item_id": "b", "category": "c"}]}),
+         "item 'i0' has category 'c1' here but 'c0' on an earlier line"),
     ])
     def test_malformed_line_reports_line_number(self, tmp_path, bad, msg):
         p = tmp_path / "d.jsonl"
@@ -146,12 +170,12 @@ class TestSyntheticGenerator:
         n_shown_expected = int(np.ceil(SMALL.show_fraction
                                        * SMALL.candidates_per_request))
         for req in ds.requests:
-            assert len(req.candidates) == SMALL.candidates_per_request
-            ids = [c.item_id for c in req.candidates]
-            assert len(set(ids)) == len(ids)
-            shown = [c for c in req.candidates if c.label is not None]
+            assert len(req.item_ids) == SMALL.candidates_per_request
+            assert len(req.labels) == SMALL.candidates_per_request
+            assert len(set(req.item_ids)) == len(req.item_ids)
+            shown = [y for y in req.labels if y >= 0]
             assert len(shown) == n_shown_expected
-            assert all(c.label in (0, 1) for c in shown)
+            assert all(y in (0, 1) for y in shown)
 
     def test_latents_unit_norm_and_clustered(self):
         item_lat, item_cat, user_lat, prefs = generate_latents(SMALL)
@@ -178,7 +202,7 @@ class TestSyntheticGenerator:
         ratios = []
         for req in ds.requests:
             pref = set(prefs[user_ids[req.user_id]].tolist())
-            cats = [item_cat[int(c.item_id[1:])] for c in req.candidates]
+            cats = [item_cat[int(iid[1:])] for iid in req.item_ids]
             ratios.append(np.mean([c in pref for c in cats]))
         base = np.mean([np.mean(np.isin(item_cat,
                                         list(set(prefs[u].tolist()))))
@@ -202,8 +226,8 @@ class TestSplit:
         assert train.item_vocab is ds.item_vocab
         assert evals.user_vocab is ds.user_vocab
         for req in evals.requests:
-            for cand in req.candidates:
-                assert cand.item_id in evals.item_vocab
+            for iid in req.item_ids:
+                assert iid in evals.item_vocab
 
     def test_degenerate_fractions_rejected(self):
         ds = generate_synthetic(SMALL)

@@ -4,6 +4,7 @@ serving-path agreement and checkpoint persistence.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,18 @@ from divrank.autodiff import Tensor
 from divrank.backbone import TrainConfig, VocabError
 from divrank.distill import (CheckpointError, TrainingDiverged,
                              kd_loss, load_checkpoint, save_checkpoint,
-                             total_loss, train, win_probabilities_detached)
+                             train, win_probabilities_detached)
+
+
+def total_loss(model, request):
+    """Eval-mode request_loss of a Request against fresh teacher labels."""
+    config = model.config
+    item_idx, cat_idx, labels = model.request_arrays(request)
+    K = config.K_teacher or math.ceil(0.2 * len(item_idx))
+    y_tea = teach.mmr_select(request, model, config.lam, K).y_tea
+    P = {name: Tensor(arr) for name, arr in model.params.items()}
+    return distill.request_loss(P, model.user_index(request.user_id),
+                                item_idx, cat_idx, labels, y_tea, config)
 
 
 class TestModelVocab:
@@ -31,14 +43,12 @@ class TestModelVocab:
         model, ds = small_model_and_data
         for req in ds.requests[:5]:
             item_idx, cat_idx, labels = model.request_arrays(req)
-            cands = req.candidates
-            assert item_idx.tolist() == [ds.item_vocab[c.item_id]
-                                         for c in cands]
+            assert item_idx.tolist() == [ds.item_vocab[iid]
+                                         for iid in req.item_ids]
             assert cat_idx.tolist() == [
-                ds.category_vocab[ds.items[c.item_id].category_id]
-                for c in cands]
-            assert labels.tolist() == [-1 if c.label is None else c.label
-                                       for c in cands]
+                ds.category_vocab[ds.items[iid].category_id]
+                for iid in req.item_ids]
+            assert labels.tolist() == list(req.labels)
 
 
 class TestLosses:
@@ -223,6 +233,64 @@ class TestCheckpoint:
         req = ds.requests[0]
         np.testing.assert_array_equal(again.win_probabilities(req),
                                       model.win_probabilities(req))
+
+    @staticmethod
+    def fail_on_vocab(monkeypatch):
+        dump = json.dump
+
+        def failing(obj, fh, *args, **kwargs):
+            if os.path.basename(fh.name) == "vocab.json":
+                raise OSError("disk full")
+            return dump(obj, fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dump", failing)
+
+    def test_failed_write_leaves_no_checkpoint(self, trained_small, tmp_path,
+                                               monkeypatch):
+        model, history, _ = trained_small
+        self.fail_on_vocab(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, tmp_path / "ckpt", history)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_existing_checkpoint(self, trained_small,
+                                                    tmp_path, monkeypatch):
+        model, history, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path, history)
+        before = {f.name: f.read_bytes() for f in path.iterdir()}
+        other = model.copy()
+        other.params["item_emb"][:] += 1.0
+        self.fail_on_vocab(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, path)
+        assert {f.name: f.read_bytes() for f in path.iterdir()} == before
+        assert os.listdir(tmp_path) == ["ckpt"]
+
+    def test_overwrite_replaces_files_and_keeps_others(self, trained_small,
+                                                       tmp_path):
+        model, history, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path, history)
+        (path / "run_manifest.json").write_text("{}")
+        other = model.copy()
+        other.params["item_emb"][:] += 1.0
+        save_checkpoint(other, path)
+        np.testing.assert_array_equal(load_checkpoint(path).params["item_emb"],
+                                      other.params["item_emb"])
+        assert (path / "run_manifest.json").read_text() == "{}"
+        # the earlier model's history does not describe this one
+        assert not (path / "history.json").exists()
+        assert sorted(os.listdir(tmp_path)) == ["ckpt"]
+
+    def test_new_path_can_be_renamed_into_place(self, trained_small,
+                                                tmp_path):
+        model, _, _ = trained_small
+        tmp = tmp_path / "ckpt.tmp"
+        save_checkpoint(model, tmp)
+        os.replace(tmp, tmp_path / "ckpt")
+        again = load_checkpoint(tmp_path / "ckpt")
+        assert again.item_ids == model.item_ids
 
     def test_unknown_tensor_name_rejected(self, trained_small, tmp_path):
         model, _, _ = trained_small

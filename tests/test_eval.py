@@ -175,12 +175,12 @@ class TestModelEvaluation:
             assert r.num_scored + r.num_skipped == r.num_requests
 
     def test_label_free_requests_are_skipped_not_scored(self, trained_small):
-        from divrank.data import CandidateEntry, Dataset, Request
+        from divrank.data import Dataset, Request
         model, _, ds = trained_small
+        first = ds.requests[0]
         stripped = Request(
-            request_id="nolabel", user_id=ds.requests[0].user_id,
-            candidates=tuple(CandidateEntry(c.item_id, None)
-                             for c in ds.requests[0].candidates))
+            request_id="nolabel", user_id=first.user_id,
+            item_ids=first.item_ids, labels=(-1,) * len(first.item_ids))
         tiny = Dataset([stripped, ds.requests[1]], ds.items, vocab_from=ds)
         reports = ev.evaluate_model(model, tiny, Ks=[3], gammas=[0.0])
         assert reports[0].num_skipped == 1

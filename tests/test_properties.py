@@ -1,0 +1,124 @@
+"""Property tests of request ingestion over random ragged request lists:
+the JSONL round trip, first-seen vocabulary order, and the columnar
+decoder against a per-candidate reference decoder.
+"""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divrank.backbone import TrainConfig
+from divrank.data import load_jsonl, save_jsonl
+from divrank.distill import CDMModel
+
+ITEMS = [f"i{j}" for j in range(40)]
+USERS = ["u0", "u1", "u2", "u3"]
+
+
+@st.composite
+def request_lists(draw):
+    """JSON-ready request dicts; items repeat across requests, always with
+    the category the list drew for them."""
+    category = draw(st.fixed_dictionaries(
+        {iid: st.sampled_from(["c0", "c1", "c2"]) for iid in ITEMS}))
+    out = []
+    for r in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.sampled_from(ITEMS), min_size=2, max_size=30,
+                            unique=True))
+        labels = draw(st.lists(st.sampled_from([None, 0, 1]),
+                               min_size=len(ids), max_size=len(ids)))
+        cands = []
+        for iid, label in zip(ids, labels):
+            cand = {"item_id": iid, "category": category[iid]}
+            if label is not None:
+                cand["label"] = label
+            cands.append(cand)
+        out.append({"request_id": f"r{r}",
+                    "user_id": draw(st.sampled_from(USERS)),
+                    "candidates": cands})
+    return out
+
+
+def load_dicts(requests):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for req in requests:
+                fh.write(json.dumps(req) + "\n")
+        return load_jsonl(path)
+
+
+def reference_arrays(model, request):
+    """Per-candidate decoder: one item row, category row and label at a
+    time, through the model's id-to-row dictionaries."""
+    n = len(request.candidates)
+    item_idx = np.empty(n, dtype=np.int64)
+    cat_idx = np.empty(n, dtype=np.int64)
+    labels = np.full(n, -1, dtype=np.int64)
+    for j, cand in enumerate(request.candidates):
+        item_idx[j] = model.item_index(cand.item_id)
+        cat_idx[j] = model._cat_row[model.item_category[cand.item_id]]
+        if cand.label is not None:
+            labels[j] = cand.label
+    return item_idx, cat_idx, labels
+
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+@SETTINGS
+@given(request_lists())
+def test_loader_keeps_ids_labels_and_first_seen_order(requests):
+    ds = load_dicts(requests)
+    assert [r.request_id for r in ds.requests] == \
+        [r["request_id"] for r in requests]
+    for got, want in zip(ds.requests, requests):
+        assert got.user_id == want["user_id"]
+        assert got.item_ids == tuple(c["item_id"] for c in want["candidates"])
+        assert got.labels == tuple(c.get("label", -1)
+                                   for c in want["candidates"])
+    items, categories, users = [], [], []
+    for req in requests:
+        if req["user_id"] not in users:
+            users.append(req["user_id"])
+        for c in req["candidates"]:
+            if c["item_id"] not in items:
+                items.append(c["item_id"])
+            if c["category"] not in categories:
+                categories.append(c["category"])
+    assert ds.item_vocab.keys() == items
+    assert ds.category_vocab.keys() == categories
+    assert ds.user_vocab.keys() == users
+    assert {iid: it.category_id for iid, it in ds.items.items()} == \
+        {c["item_id"]: c["category"]
+         for req in requests for c in req["candidates"]}
+
+
+@SETTINGS
+@given(request_lists())
+def test_save_load_round_trip(requests):
+    ds = load_dicts(requests)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.jsonl")
+        save_jsonl(ds, path)
+        again = load_jsonl(path)
+    assert again.requests == ds.requests
+    assert again.items == ds.items
+    assert again.item_vocab.keys() == ds.item_vocab.keys()
+
+
+@SETTINGS
+@given(request_lists())
+def test_request_arrays_match_reference_decoder(requests):
+    ds = load_dicts(requests)
+    model = CDMModel.from_dataset(ds, TrainConfig(d=4))
+    for req in ds.requests:
+        got = model.request_arrays(req)
+        want = reference_arrays(model, req)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
