@@ -277,12 +277,6 @@ def sigmoid(a):
     return _record(a.tape, out, (a,), back)
 
 
-def exp(a):
-    a = _coerce(a)
-    out = np.exp(a.data)
-    return _record(a.tape, out, (a,), lambda g: (g * out,))
-
-
 def log(a):
     """Natural log with the argument clamped to >= 1e-12."""
     a = _coerce(a)

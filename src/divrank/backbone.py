@@ -42,7 +42,7 @@ class TrainConfig:
     warm_epochs: int = 3
     joint_epochs: int = 30
     eval_fraction: float = 1.0 / 6.0
-    max_context_pool: int = 40  # serving-time cap on the attention pool
+    max_context_pool: int = 40  # cap on the context pool (train and serve)
     emb_init_scale: float = 0.1
     seed: int = 0
 
@@ -137,10 +137,6 @@ def score_logits(P, user_idx, item_idx, cat_idx, *, training=False,
     h = ad.dropout(h, dropout, rng, training)
     z = ad.add(ad.matmul(h, P["mlp_w3"]), P["mlp_b3"])
     return ad.reshape(z, (n,))
-
-
-def score_probs(P, user_idx, item_idx, cat_idx, **kw):
-    return ad.sigmoid(score_logits(P, user_idx, item_idx, cat_idx, **kw))
 
 
 def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):

@@ -1,4 +1,4 @@
-"""Contrastive context encoder: target attention over the candidate pool,
+"""Contrastive context encoder: target attention over the context pool,
 positive/negative context sampling, anti-attention pooling, InfoNCE
 separation and user interest-aware fusion.
 """
@@ -34,37 +34,30 @@ def init_cce(params: ParamStore, d: int, rng):
 
 @dataclass
 class ContextSample:
-    pos_idx: np.ndarray   # (..., k) candidate positions
+    pos_idx: np.ndarray   # (N, k) context-pool columns
     w_pos: Tensor         # perturbed weights gathered at pos_idx
     neg_idx: np.ndarray
     w_neg: Tensor
 
 
-def attention_scores_all(P, E: Tensor) -> Tensor:
-    """(N, N) scaled dot-product scores, row = target, unmasked."""
+def attention_scores_all(P, E: Tensor, E_pool: Tensor) -> Tensor:
+    """(N, |pool|) scaled dot-product scores of every target (rows of E)
+    against the context-pool keys (rows of E_pool), unmasked."""
     d = E.data.shape[-1]
     q = ad.matmul(E, P["cce_w1"])
-    keys = ad.matmul(E, P["cce_w2"])
+    keys = ad.matmul(E_pool, P["cce_w2"])
     return ad.scale(ad.matmul(q, ad.transpose(keys)), 1.0 / math.sqrt(d))
 
 
-def attention_scores(P, target: Tensor, candidates: Tensor) -> Tensor:
-    """Scores of one target against a candidate matrix (no self-masking:
-    the caller masks the target's own row position)."""
-    d = candidates.data.shape[-1]
-    q = ad.matmul(target, P["cce_w1"])
-    keys = ad.matmul(candidates, P["cce_w2"])
-    return ad.scale(ad.matmul(keys, q), 1.0 / math.sqrt(d))
-
-
-def sample_contexts(w: Tensor, k: int, rng=None, mask=None) -> ContextSample:
+def sample_contexts(w: Tensor, mask, k: int, rng=None) -> ContextSample:
     """Gumbel-Top-k draws of a positive set (high attention) and a negative
     set (negated attention), with independent noise per side.
 
-    w holds raw scores: (N,) for one target or (N, N) for all targets of a
-    request. The additive mask (diagonal self-mask by default for square w)
-    is applied after negation too, so the target can never enter its own
-    context. Draws may overlap; they are not forced disjoint.
+    w holds the (N, |pool|) raw scores of a request's targets against its
+    context pool. The additive mask (MASK_VALUE at each target's own
+    column, 0 elsewhere) is applied after negation too, so a target can
+    never enter its own context. Draws may overlap; they are not forced
+    disjoint.
 
     The noise goes onto the masked scores directly rather than onto their
     log-softmax: the two differ by a per-row constant, which changes
@@ -74,23 +67,16 @@ def sample_contexts(w: Tensor, k: int, rng=None, mask=None) -> ContextSample:
     n = w.data.shape[-1]
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
-    if mask is None and w.data.ndim == 2 and w.data.shape[0] == n:
-        mask = np.diag(np.full(n, MASK_VALUE))
-    masked = w if mask is None else ad.add_constant(w, mask)
-    neg_masked = ad.neg(w) if mask is None \
-        else ad.add_constant(ad.neg(w), mask)
+    masked = ad.add_constant(w, mask)
+    neg_masked = ad.add_constant(ad.neg(w), mask)
     w_pos = perturb(masked, rng)
     w_neg = perturb(neg_masked, rng)
     pos_idx = hard_topk(w_pos.data, k)
     neg_idx = hard_topk(w_neg.data, k)
-    gather = ad.take_per_row if w.data.ndim == 2 else _take_1d
-    return ContextSample(pos_idx=pos_idx, w_pos=gather(w_pos, pos_idx),
-                         neg_idx=neg_idx, w_neg=gather(w_neg, neg_idx))
-
-
-def _take_1d(a: Tensor, idx):
-    out = ad.take_per_row(ad.reshape(a, (1, -1)), np.asarray(idx)[None, :])
-    return ad.reshape(out, (-1,))
+    return ContextSample(pos_idx=pos_idx,
+                         w_pos=ad.take_per_row(w_pos, pos_idx),
+                         neg_idx=neg_idx,
+                         w_neg=ad.take_per_row(w_neg, neg_idx))
 
 
 def _pool(weights: Tensor, values: Tensor) -> Tensor:

@@ -165,9 +165,14 @@ def load_jsonl(path) -> Dataset:
     is not a valid request raises DataError naming the line."""
     requests = []
     category_of = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    # bytes in, one line decoded at a time, so a bad byte names its line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"line {line_no}: invalid UTF-8 at byte "
+                                f"{e.start}") from e
             if not line:
                 continue
             try:

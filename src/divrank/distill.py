@@ -126,14 +126,23 @@ def request_pool_seed(seed: int, request_id: str) -> int:
     return (seed << 32) ^ zlib.crc32(request_id.encode("utf-8"))
 
 
+def context_pool(n: int, config: TrainConfig, pool_seed: int) -> np.ndarray:
+    """Sorted candidate positions whose keys and values every target of a
+    request attends over: all n when n <= max_context_pool, otherwise a
+    subsample of max_context_pool drawn from pool_seed. Training and
+    serving both take their contexts from this pool."""
+    if n <= config.max_context_pool:
+        return np.arange(n)
+    prng = np.random.default_rng(pool_seed)
+    return np.sort(prng.choice(n, size=config.max_context_pool,
+                               replace=False))
+
+
 def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
                                config: TrainConfig, pool_seed: int = 0,
                                counters=None) -> np.ndarray:
-    """Serving path: numpy-only student forward, zero noise, dropout off.
-
-    When the candidate pool exceeds max_context_pool, attention runs over
-    a deterministic subsample (the context pool) instead of all N.
-    """
+    """Serving path: numpy-only student forward over the request's context
+    pool, zero noise, dropout off."""
     d = config.d
     k = config.k
     item_idx = np.asarray(item_idx, dtype=np.int64)
@@ -141,12 +150,7 @@ def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
     E = params["item_emb"][item_idx]
-    if n <= config.max_context_pool:
-        pool = np.arange(n)
-    else:
-        prng = np.random.default_rng(pool_seed)
-        pool = np.sort(prng.choice(n, size=config.max_context_pool,
-                                   replace=False))
+    pool = context_pool(n, config, pool_seed)
     q = E @ params["cce_w1"]
     keys = E[pool] @ params["cce_w2"]
     values = E[pool] @ params["cce_w3"]
@@ -196,24 +200,26 @@ def _softmax_rows(x):
 # losses
 
 
-def kd_loss(y_stu: Tensor, y_tea) -> Tensor:
-    """Mean binary cross-entropy of student probabilities vs hard labels."""
-    return bb.bce_loss(y_stu, y_tea)
-
-
 def _kd_from_logits(z: Tensor, y_tea) -> Tensor:
     # softplus(z) - y*z == -y log(sigma) - (1-y) log(1-sigma), stable
     return ad.tmean(ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z)))
 
 
 def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                 config: TrainConfig, rng=None, training=False):
+                 config: TrainConfig, rng=None, training=False, pool=None):
     """Joint per-request loss on the tape of P's tensors.
+
+    Every target attends over the keys and values of the context pool,
+    the candidate positions `pool` (default: context_pool(n, config, 0),
+    as win_probabilities_detached draws it for pool_seed 0).
 
     Returns (total, components dict of Tensors). rng=None disables both
     Gumbel noise and dropout regardless of the training flag.
     """
     n = len(item_idx)
+    if pool is None:
+        pool = context_pool(n, config, 0)
+    m = len(pool)
     noise_rng = rng if training else None
     drop = config.dropout if (training and rng is not None) else 0.0
 
@@ -229,9 +235,13 @@ def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
     components["bce"] = loss_bce
 
     E = ad.gather_rows(P["item_emb"], item_idx)
-    w = cce.attention_scores_all(P, E)
-    sample = cce.sample_contexts(w, config.k, noise_rng)
-    values = ad.matmul(E, P["cce_w3"])
+    # a pool of all n positions is E itself: no gather node on the tape
+    E_pool = E if m == n else ad.gather_rows(E, pool)
+    w = cce.attention_scores_all(P, E, E_pool)
+    mask = np.zeros((n, m))
+    mask[pool, np.arange(m)] = cce.MASK_VALUE  # target pool[j] is column j
+    sample = cce.sample_contexts(w, mask, config.k, noise_rng)
+    values = ad.matmul(E_pool, P["cce_w3"])
     v_pos = ad.gather_rows(values, sample.pos_idx)  # (N, k, d) view of rows
     v_neg = ad.gather_rows(values, sample.neg_idx)
     c_pos = cce.positive_context(sample.w_pos, v_pos)
@@ -266,7 +276,7 @@ def _teacher_k(config: TrainConfig, n: int) -> int:
 
 def _refresh_labels(model: CDMModel, packed, config):
     out = []
-    for u_idx, item_idx, cat_idx, _labels in packed:
+    for u_idx, item_idx, cat_idx, *_ in packed:
         acc = model.acc_scores(u_idx, item_idx, cat_idx)
         ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
         K = _teacher_k(config, len(item_idx))
@@ -297,8 +307,10 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
         out = []
         for req in ds.requests:
             item_idx, cat_idx, labels = model.request_arrays(req)
+            pool = context_pool(len(item_idx), config, request_pool_seed(
+                config.seed, req.request_id))
             out.append((model.user_index(req.user_id), item_idx, cat_idx,
-                        labels))
+                        labels, pool))
         return out
 
     train_packed = pack(train_ds)
@@ -320,7 +332,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             P = model.params.leaves(tape)
             acc_terms = []
             for idx in batch:
-                u_idx, item_idx, cat_idx, labels = train_packed[idx]
+                u_idx, item_idx, cat_idx, labels, _ = train_packed[idx]
                 shown = np.flatnonzero(labels >= 0)
                 if shown.size == 0:
                     continue
@@ -358,10 +370,10 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             loss = None
             comp_acc = {"bce": 0.0, "kd": 0.0, "infonce": 0.0}
             for idx in batch:
-                u_idx, item_idx, cat_idx, labels = train_packed[idx]
+                u_idx, item_idx, cat_idx, labels, pool = train_packed[idx]
                 total, comps = request_loss(
                     P, u_idx, item_idx, cat_idx, labels, train_labels[idx],
-                    config, rng=rng, training=True)
+                    config, rng=rng, training=True, pool=pool)
                 loss = total if loss is None else ad.add(loss, total)
                 for key in comp_acc:
                     comp_acc[key] += comps[key].item()
@@ -398,7 +410,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
 
 def _phase1_val_loss(model, packed):
     losses = []
-    for u_idx, item_idx, cat_idx, labels in packed:
+    for u_idx, item_idx, cat_idx, labels, _ in packed:
         shown = np.flatnonzero(labels >= 0)
         if shown.size == 0:
             continue
@@ -412,9 +424,11 @@ def _phase1_val_loss(model, packed):
 def _joint_val_loss(model, packed, labels_list, config):
     P = {name: Tensor(arr) for name, arr in model.params.items()}
     totals, bces, kds, nces = [], [], [], []
-    for (u_idx, item_idx, cat_idx, labels), y_tea in zip(packed, labels_list):
+    for (u_idx, item_idx, cat_idx, labels, pool), y_tea in zip(packed,
+                                                               labels_list):
         total, comps = request_loss(P, u_idx, item_idx, cat_idx, labels,
-                                    y_tea, config, rng=None, training=False)
+                                    y_tea, config, rng=None, training=False,
+                                    pool=pool)
         totals.append(total.item())
         bces.append(comps["bce"].item())
         kds.append(comps["kd"].item())

@@ -13,6 +13,10 @@ from divrank.backbone import ConfigError, TrainConfig
 RNG = np.random.default_rng(7)
 
 
+def score_probs(P, user_idx, item_idx, cat_idx):
+    return ad.sigmoid(bb.score_logits(P, user_idx, item_idx, cat_idx))
+
+
 def make_params(n_items=9, n_cats=3, n_users=4, d=6, seed=0):
     params = ParamStore()
     bb.init_backbone(params, n_items, n_cats, n_users, d,
@@ -69,7 +73,7 @@ class TestScoring:
     def test_probabilities_in_unit_interval(self):
         params = make_params()
         P = {n: Tensor(v) for n, v in params.items()}
-        out = bb.score_probs(P, 1, [0, 3, 7], [0, 1, 2])
+        out = score_probs(P, 1, [0, 3, 7], [0, 1, 2])
         assert out.data.shape == (3,)
         assert np.all((out.data > 0) & (out.data < 1))
 
@@ -77,7 +81,7 @@ class TestScoring:
         params = make_params()
         P = {n: Tensor(v) for n, v in params.items()}
         item_idx, cat_idx = [0, 3, 7, 8], [0, 1, 2, 0]
-        tape_out = bb.score_probs(P, 2, item_idx, cat_idx).data
+        tape_out = score_probs(P, 2, item_idx, cat_idx).data
         fast_out = bb.score_all_detached(params, 2, item_idx, cat_idx)
         np.testing.assert_allclose(fast_out, tape_out, atol=1e-12)
 
@@ -85,7 +89,7 @@ class TestScoring:
         params = make_params()
         tape = Tape()
         P = params.leaves(tape)
-        probs = bb.score_probs(P, 0, [1, 2], [0, 1])
+        probs = score_probs(P, 0, [1, 2], [0, 1])
         tape.backward(bb.bce_loss(probs, [1, 0]))
         for name in ("item_emb", "cat_emb", "user_emb", "mlp_w1", "mlp_w3"):
             assert np.abs(P[name].grad).max() > 0.0, name
@@ -94,7 +98,7 @@ class TestScoring:
         params = make_params()
         tape = Tape()
         P = params.leaves(tape)
-        probs = bb.score_probs(P, 0, [1], [0])
+        probs = score_probs(P, 0, [1], [0])
         tape.backward(bb.bce_loss(probs, [1]))
         np.testing.assert_allclose(P["item_emb"].grad[5], 0.0)
 
@@ -106,7 +110,7 @@ class TestScoring:
         def f(leaf):
             P = {n: Tensor(v) for n, v in params.items()}
             P["mlp_w1"] = leaf
-            probs = bb.score_probs(P, 1, item_idx, cat_idx)
+            probs = score_probs(P, 1, item_idx, cat_idx)
             return bb.bce_loss(probs, labels)
 
         assert ad.grad_check(f, flat) < 1e-6

@@ -10,11 +10,18 @@ import pytest
 from divrank import autodiff as ad
 from divrank import cce
 from divrank.autodiff import DomainError, ParamStore, Tape, Tensor
-from divrank.cce import (attention_scores, attention_scores_all, fuse_context,
-                         infonce_loss, init_cce, negative_context,
-                         positive_context, sample_contexts)
+from divrank.cce import (attention_scores_all, fuse_context, infonce_loss,
+                         init_cce, negative_context, positive_context,
+                         sample_contexts)
 
 RNG = np.random.default_rng(31)
+
+
+def self_mask(n, pool):
+    """MASK_VALUE at (pool[j], j): each target's own context-pool column."""
+    mask = np.zeros((n, len(pool)))
+    mask[pool, np.arange(len(pool))] = cce.MASK_VALUE
+    return mask
 
 
 def make_P(d=6, seed=0, tape=None):
@@ -30,58 +37,56 @@ class TestAttentionScores:
         d = 6
         params, P = make_P(d)
         E = RNG.standard_normal((5, d))
-        w = attention_scores_all(P, Tensor(E)).data
+        pool = [0, 2, 3]
+        w = attention_scores_all(P, Tensor(E), Tensor(E[pool])).data
         q = E @ params["cce_w1"]
-        keys = E @ params["cce_w2"]
+        keys = E[pool] @ params["cce_w2"]
+        assert w.shape == (5, 3)
         np.testing.assert_allclose(w, q @ keys.T / math.sqrt(d), atol=1e-12)
-
-    def test_single_target_matches_batched_row(self):
-        d = 6
-        _, P = make_P(d)
-        E = RNG.standard_normal((5, d))
-        full = attention_scores_all(P, Tensor(E)).data
-        row = attention_scores(P, Tensor(E[2]), Tensor(E)).data
-        np.testing.assert_allclose(row, full[2], atol=1e-12)
 
 
 class TestSampleContexts:
     def test_self_never_in_either_context(self):
         d, n, k = 6, 12, 3
         _, P = make_P(d)
-        w = attention_scores_all(P, Tensor(RNG.standard_normal((n, d))))
+        E = RNG.standard_normal((n, d))
+        pool = np.array([0, 2, 3, 5, 7, 8, 10, 11])
+        w = attention_scores_all(P, Tensor(E), Tensor(E[pool]))
         rng = np.random.default_rng(0)
         for _ in range(30):
-            s = sample_contexts(w, k, rng)
+            s = sample_contexts(w, self_mask(n, pool), k, rng)
             for i in range(n):
-                assert i not in s.pos_idx[i]
-                assert i not in s.neg_idx[i]
+                assert i not in pool[s.pos_idx[i]]
+                assert i not in pool[s.neg_idx[i]]
 
     def test_zero_noise_picks_extremes(self):
         w = Tensor(np.array([[0.0, 3.0, 1.0, -2.0],
                              [5.0, 0.0, -1.0, 2.0]]))
-        s = sample_contexts(w, 1, None)
+        s = sample_contexts(w, np.zeros((2, 4)), 1)
         assert s.pos_idx.tolist() == [[1], [0]]
         assert s.neg_idx.tolist() == [[3], [2]]
 
-    def test_1d_scores_with_explicit_mask(self):
-        w = Tensor(np.array([4.0, 1.0, -3.0, 2.0]))
-        mask = np.array([cce.MASK_VALUE, 0.0, 0.0, 0.0])  # position 0 = self
-        s = sample_contexts(w, 1, None, mask=mask)
-        assert s.pos_idx.tolist() == [3]
-        assert s.neg_idx.tolist() == [2]
+    def test_masked_column_never_drawn(self):
+        w = Tensor(np.array([[4.0, 1.0, -3.0, 2.0]]))
+        mask = np.array([[cce.MASK_VALUE, 0.0, 0.0, 0.0]])  # column 0 = self
+        s = sample_contexts(w, mask, 1)
+        assert s.pos_idx.tolist() == [[3]]
+        assert s.neg_idx.tolist() == [[2]]
 
     def test_pool_too_small_rejected(self):
         _, P = make_P(4)
-        w = attention_scores_all(P, Tensor(RNG.standard_normal((5, 4))))
+        E = Tensor(RNG.standard_normal((5, 4)))
+        w = attention_scores_all(P, E, E)
         with pytest.raises(DomainError):
-            sample_contexts(w, 3, None)
+            sample_contexts(w, self_mask(5, np.arange(5)), 3)
 
     def test_gradient_flows_to_encoder_weights(self):
         tape = Tape()
         params, P = make_P(6, tape=tape)
         E = Tensor(RNG.standard_normal((10, 6)))
-        w = attention_scores_all(P, E)
-        s = sample_contexts(w, 2, np.random.default_rng(1))
+        w = attention_scores_all(P, E, E)
+        s = sample_contexts(w, self_mask(10, np.arange(10)), 2,
+                            np.random.default_rng(1))
         tape.backward(ad.tsum(s.w_pos) + ad.tsum(s.w_neg))
         assert np.abs(P["cce_w1"].grad).max() > 0.0
         assert np.abs(P["cce_w2"].grad).max() > 0.0

@@ -100,6 +100,21 @@ class TestLoadJsonl:
             load_jsonl(p)
         assert msg in str(e.value)
 
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        bad = json.dumps({"request_id": "r", "user_id": "u",
+                          "candidates": [{"item_id": "a@", "category": "c"},
+                                         {"item_id": "b", "category": "c"}]})
+        p.write_bytes((valid_line() + "\n").encode("utf-8")
+                      + bad.encode("utf-8").replace(b"@", b"\xff") + b"\n")
+        with pytest.raises(DataError, match="line 2: invalid UTF-8"):
+            load_jsonl(p)
+
+    def test_crlf_line_endings_accepted(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes((valid_line() + "\r\n").encode("utf-8"))
+        assert len(load_jsonl(p).requests) == 1
+
 
 class TestVocab:
     def test_first_seen_order(self):

@@ -2,6 +2,7 @@
 serving-path agreement and checkpoint persistence.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -11,13 +12,20 @@ import pytest
 from scipy.special import expit
 
 from divrank import autodiff as ad
+from divrank import backbone as bb
+from divrank import cce
 from divrank import distill
 from divrank import teacher as teach
 from divrank.autodiff import Tensor
 from divrank.backbone import TrainConfig, VocabError
 from divrank.distill import (CheckpointError, TrainingDiverged,
-                             kd_loss, load_checkpoint, save_checkpoint,
-                             train, win_probabilities_detached)
+                             load_checkpoint, save_checkpoint, train,
+                             win_probabilities_detached)
+
+
+def kd_loss(y_stu, y_tea):
+    """Mean binary cross-entropy of student probabilities vs hard labels."""
+    return bb.bce_loss(y_stu, y_tea)
 
 
 def total_loss(model, request):
@@ -93,6 +101,102 @@ class TestLosses:
         a, _ = total_loss(model, ds.requests[2])
         b, _ = total_loss(model, ds.requests[2])
         assert a.item() == b.item()
+
+
+class TestContextPool:
+    """Training and serving attend over the same seeded context pool."""
+
+    @staticmethod
+    def pooled(config, pool=10):
+        return dataclasses.replace(config, max_context_pool=pool).validate()
+
+    def test_pool_is_all_candidates_up_to_the_cap(self, small_config):
+        np.testing.assert_array_equal(
+            distill.context_pool(32, small_config, 5), np.arange(32))
+
+    def test_pool_beyond_the_cap_is_a_seeded_sorted_subsample(
+            self, small_config):
+        a = distill.context_pool(100, small_config, 5)
+        assert len(a) == 32 and np.all(np.diff(a) > 0)
+        assert 0 <= a[0] and a[-1] < 100
+        np.testing.assert_array_equal(
+            a, distill.context_pool(100, small_config, 5))
+        assert not np.array_equal(
+            a, distill.context_pool(100, small_config, 6))
+
+    def test_eval_loss_matches_serving_beyond_the_cap(self, trained_small):
+        model, _, ds = trained_small
+        config = self.pooled(model.config)
+        P = {n: Tensor(v) for n, v in model.params.items()}
+        for req in ds.requests[:8]:
+            item_idx, cat_idx, labels = model.request_arrays(req)
+            seed = distill.request_pool_seed(config.seed, req.request_id)
+            pool = distill.context_pool(len(item_idx), config, seed)
+            assert len(pool) < len(item_idx)
+            u_idx = model.user_index(req.user_id)
+            _, comps = distill.request_loss(
+                P, u_idx, item_idx, cat_idx, labels,
+                np.zeros(len(item_idx)), config, pool=pool)
+            served = win_probabilities_detached(model.params, u_idx, item_idx,
+                                                config, pool_seed=seed)
+            np.testing.assert_allclose(expit(comps["z_stu"].data), served,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_train_attends_over_the_serving_pool(self, small_dataset,
+                                                 small_config, monkeypatch):
+        config = dataclasses.replace(self.pooled(small_config),
+                                     warm_epochs=0, joint_epochs=1)
+        seen = {}
+        real = distill.request_loss
+
+        def spy(P, u_idx, item_idx, *args, pool=None, **kwargs):
+            seen[tuple(item_idx)] = pool
+            return real(P, u_idx, item_idx, *args, pool=pool, **kwargs)
+
+        monkeypatch.setattr(distill, "request_loss", spy)
+        model, _ = train(small_dataset, config)
+        assert len(seen) == len(small_dataset.requests)
+        for req in small_dataset.requests:
+            item_idx, _, _ = model.request_arrays(req)
+            np.testing.assert_array_equal(
+                seen[tuple(item_idx)],
+                distill.context_pool(len(item_idx), config,
+                                     distill.request_pool_seed(
+                                         config.seed, req.request_id)))
+
+    def test_repeat_run_bitwise_identical_beyond_the_cap(self, small_dataset,
+                                                         small_config):
+        config = self.pooled(small_config)
+        m1, h1 = train(small_dataset, config)
+        m2, h2 = train(small_dataset, config)
+        assert h1 == h2
+        for name in m1.params.names():
+            np.testing.assert_array_equal(m1.params[name], m2.params[name])
+
+    def test_pool_path_gradients(self):
+        n, d = 12, 4
+        config = TrainConfig(d=d, k=2, max_context_pool=7).validate()
+        rng = np.random.default_rng(3)
+        params = ad.ParamStore()
+        bb.init_backbone(params, 15, 3, 2, d, rng, emb_scale=0.5)
+        cce.init_cce(params, d, rng)
+        item_idx = rng.permutation(15)[:n]
+        cat_idx = rng.integers(0, 3, size=n)
+        labels = np.where(rng.random(n) < 0.5, rng.integers(0, 2, size=n), -1)
+        y_tea = (rng.random(n) < 0.3).astype(float)
+        pool = distill.context_pool(n, config, 9)
+        assert len(pool) == 7
+
+        for name in distill.ALL_PARAM_NAMES:
+            def f(leaf, name=name):
+                P = {k: Tensor(v) for k, v in params.items()}
+                P[name] = leaf
+                total, _ = distill.request_loss(P, 1, item_idx, cat_idx,
+                                                labels, y_tea, config,
+                                                pool=pool)
+                return total
+
+            assert ad.grad_check(f, params[name]) < 1e-4, name
 
 
 class TestServingPath:
