@@ -110,31 +110,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, tape={'yes' if self.tape else 'no'})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -226,38 +201,19 @@ def scale(a, s: float):
 
 def matmul(a, b):
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError("matmul supports 1-D and 2-D operands only")
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("matmul supports 2-D operands only")
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
     tape = _tape_of(a, b)
     ad, bd = a.data, b.data
-    out = ad @ bd
 
     def back(g):
-        ga = gb = None
-        if a.node is not None:
-            if ad.ndim == 2 and bd.ndim == 2:
-                ga = g @ bd.T
-            elif ad.ndim == 1 and bd.ndim == 2:
-                ga = bd @ g
-            elif ad.ndim == 2 and bd.ndim == 1:
-                ga = np.outer(g, bd)
-            else:
-                ga = g * bd
-        if b.node is not None:
-            if bd.ndim == 2 and ad.ndim == 2:
-                gb = ad.T @ g
-            elif bd.ndim == 2 and ad.ndim == 1:
-                gb = np.outer(ad, g)
-            elif bd.ndim == 1 and ad.ndim == 2:
-                gb = ad.T @ g
-            else:
-                gb = g * ad
-        return (ga, gb)
+        return (g @ bd.T if a.node is not None else None,
+                ad.T @ g if b.node is not None else None)
 
-    return _record(tape, out, (a, b), back)
+    return _record(tape, ad @ bd, (a, b), back)
 
 
 def relu(a):
@@ -448,19 +404,6 @@ class ParamStore:
     def __getitem__(self, name) -> np.ndarray:
         return self._params[name]
 
-    def __setitem__(self, name, values):
-        arr = _as_array(values)
-        if name in self._params and self._params[name].shape != arr.shape:
-            raise ShapeError(
-                f"shape change for {name}: {self._params[name].shape} -> {arr.shape}")
-        self._params[name] = arr
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __iter__(self):
-        return iter(self._params)
-
     def items(self):
         return self._params.items()
 
@@ -482,39 +425,3 @@ class ParamStore:
         for name, arr in self._params.items():
             out.add(name, arr.copy())
         return out
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def grad_check(f, x, h=1e-5):
-    """Max relative error between analytic and central-difference gradient.
-
-    f takes a Tensor leaf and returns a scalar Tensor on the leaf's tape.
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise DomainError(f"step h={h} outside [1e-7, 1e-3]")
-    tape = Tape()
-    leaf = tape.leaf(np.asarray(x, dtype=np.float64).copy())
-    loss = f(leaf)
-    tape.backward(loss)
-    analytic = leaf.grad.reshape(-1)
-
-    base = np.asarray(x, dtype=np.float64).copy()
-    flat = base.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(Tape().leaf(base)).item()
-        flat[i] = orig - h
-        fm = f(Tape().leaf(base)).item()
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError(
-                f"non-finite forward value at coordinate {i}")
-        numeric = (fp - fm) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
-        worst = max(worst, err)
-    return worst

@@ -58,6 +58,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.K_teacher is not None and self.K_teacher < 1:
+            raise ConfigError("K_teacher must be >= 1 (or None)")
         if self.infonce_t <= 0:
             raise ConfigError("infonce_t must be positive")
         if not (0.0 <= self.dropout < 1.0):

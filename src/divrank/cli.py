@@ -97,7 +97,6 @@ def cmd_gen_data(args):
         num_categories=args.num_categories,
         candidates_per_request=args.candidates_per_request,
         latent_dim=args.latent_dim, show_fraction=args.show_fraction)
-    spec.validate()
     dataset = generate_synthetic(spec)
     save_jsonl(dataset, args.out)
     manifest = _run_manifest(
@@ -127,9 +126,7 @@ def _resolve_config(args):
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
-    config = TrainConfig.from_dict(base)
-    config.validate()
-    return config
+    return TrainConfig.from_dict(base)
 
 
 def cmd_train(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count
 
 import numpy as np
@@ -25,12 +25,6 @@ class DataError(ValueError):
 class CandidateEntry:
     item_id: str
     label: int | None = None  # None means the item was never shown
-
-
-@dataclass(frozen=True)
-class Item:
-    item_id: str
-    category_id: str
 
 
 @dataclass(frozen=True)
@@ -52,55 +46,30 @@ class Request:
                      for iid, y in zip(self.item_ids, self.labels))
 
 
-@dataclass
-class Vocab:
-    """Deterministic string -> id assignment in first-seen order."""
-
-    _ids: dict = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, keys):
-        """A vocabulary of the distinct keys in first-seen order."""
-        return cls(dict(zip(dict.fromkeys(keys), count())))
-
-    def get_or_add(self, key: str) -> int:
-        if key not in self._ids:
-            self._ids[key] = len(self._ids)
-        return self._ids[key]
-
-    def __getitem__(self, key: str) -> int:
-        if key not in self._ids:
-            raise KeyError(f"unknown vocabulary entry: {key!r}")
-        return self._ids[key]
-
-    def __contains__(self, key):
-        return key in self._ids
-
-    def __len__(self):
-        return len(self._ids)
-
-    def keys(self):
-        return list(self._ids)
+def _first_seen(keys) -> dict:
+    """The distinct keys in first-seen order, each mapped to its index."""
+    return dict(zip(dict.fromkeys(keys), count()))
 
 
 class Dataset:
-    """Immutable after construction; vocabularies built in first-seen order."""
+    """Immutable after construction. The three vocabularies map user, item
+    and category ids to indices in first-seen order."""
 
     def __init__(self, requests, items, vocab_from: "Dataset | None" = None):
         self.requests = list(requests)
-        self.items = dict(items)  # item_id -> Item
+        self.items = dict(items)  # item_id -> category_id
         if vocab_from is not None:
             self.item_vocab = vocab_from.item_vocab
             self.category_vocab = vocab_from.category_vocab
             self.user_vocab = vocab_from.user_vocab
             return
-        self.user_vocab = Vocab.of(req.user_id for req in self.requests)
-        self.item_vocab = Vocab.of(chain.from_iterable(
+        self.user_vocab = _first_seen(req.user_id for req in self.requests)
+        self.item_vocab = _first_seen(chain.from_iterable(
             req.item_ids for req in self.requests))
         # an item's category is fixed, so categories first seen over the
         # distinct items come in the same order as over every candidate
-        self.category_vocab = Vocab.of(self.items[iid].category_id
-                                       for iid in self.item_vocab.keys())
+        self.category_vocab = _first_seen(map(self.items.__getitem__,
+                                              self.item_vocab))
 
     def __len__(self):
         return len(self.requests)
@@ -180,8 +149,7 @@ def load_jsonl(path) -> Dataset:
             except json.JSONDecodeError as e:
                 raise DataError(f"line {line_no}: malformed JSON ({e.msg})") from e
             requests.append(_parse_request(obj, line_no, category_of))
-    items = {iid: Item(iid, cat) for iid, cat in category_of.items()}
-    return Dataset(requests, items)
+    return Dataset(requests, category_of)
 
 
 def save_jsonl(dataset: Dataset, path):
@@ -189,8 +157,7 @@ def save_jsonl(dataset: Dataset, path):
         for req in dataset.requests:
             cands = []
             for iid, label in zip(req.item_ids, req.labels):
-                entry = {"item_id": iid,
-                         "category": dataset.items[iid].category_id}
+                entry = {"item_id": iid, "category": dataset.items[iid]}
                 if label >= 0:
                     entry["label"] = label
                 cands.append(entry)
@@ -265,14 +232,11 @@ def generate_latents(spec: SyntheticSpec):
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    spec.validate()
+    """A synthetic dataset; generate_latents validates the spec."""
     item_lat, item_cat, user_lat, prefs = generate_latents(spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xCA7]))
 
-    items = {}
-    for i in range(spec.catalog_size):
-        iid = f"i{i}"
-        items[iid] = Item(item_id=iid, category_id=f"c{item_cat[i]}")
+    items = {f"i{i}": f"c{g}" for i, g in enumerate(item_cat.tolist())}
 
     by_cat = [np.flatnonzero(item_cat == g) for g in range(spec.num_categories)]
     n = spec.candidates_per_request

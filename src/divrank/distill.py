@@ -12,7 +12,6 @@ import json
 import math
 import os
 import shutil
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -34,16 +33,6 @@ class TrainingDiverged(RuntimeError):
 
 class CheckpointError(ValueError):
     pass
-
-
-@dataclass
-class StudentOutput:
-    request_id: str
-    y_stu: np.ndarray
-    y_tea: np.ndarray
-    loss_bce: float
-    loss_kd: float
-    loss_infonce: float
 
 
 class CDMModel:
@@ -76,10 +65,9 @@ class CDMModel:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, config: TrainConfig):
-        item_categories = {iid: dataset.items[iid].category_id
-                           for iid in dataset.item_vocab.keys()}
-        return cls(config, item_categories, dataset.category_vocab.keys(),
-                   dataset.user_vocab.keys())
+        items = dataset.items
+        return cls(config, {iid: items[iid] for iid in dataset.item_vocab},
+                   dataset.category_vocab, dataset.user_vocab)
 
     # --- vocabulary surfaces -------------------------------------------
 
@@ -139,8 +127,8 @@ def context_pool(n: int, config: TrainConfig, pool_seed: int) -> np.ndarray:
 
 
 def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
-                               config: TrainConfig, pool_seed: int = 0,
-                               counters=None) -> np.ndarray:
+                               config: TrainConfig,
+                               pool_seed: int = 0) -> np.ndarray:
     """Serving path: numpy-only student forward over the request's context
     pool, zero noise, dropout off."""
     d = config.d
@@ -176,8 +164,6 @@ def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
     np.multiply(u_vec, c_neg, out=x[:, d:])
     h = np.maximum(x @ params["ffn_w1"] + params["ffn_b1"], 0.0)
     c = h @ params["ffn_w2"] + params["ffn_b2"]
-    if counters is not None:
-        counters["context_pool"] = len(pool)
     return expit((q * c).sum(axis=1))
 
 

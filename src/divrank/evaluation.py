@@ -114,19 +114,14 @@ def top_k_fused(scores: np.ndarray, K: int, counters: dict | None = None):
     return np.asarray([-neg for _, neg in best], dtype=np.int64)
 
 
-def fused_scores(model: CDMModel, request, gamma: float,
-                 counters: dict | None = None) -> np.ndarray:
+def fused_scores(model: CDMModel, request, gamma: float) -> np.ndarray:
     """f(u, i) + gamma * y_stu per candidate; y_stu is skipped at gamma=0."""
     item_idx, cat_idx, _ = model.request_arrays(request)
     u_idx = model.user_index(request.user_id)
     acc = model.acc_scores(u_idx, item_idx, cat_idx)
     if gamma == 0.0:
         return acc
-    y_stu = _student_scores(model, request, u_idx, item_idx)
-    if counters is not None:
-        counters["student_evals"] = counters.get("student_evals", 0) \
-            + len(item_idx)
-    return acc + gamma * y_stu
+    return acc + gamma * _student_scores(model, request, u_idx, item_idx)
 
 
 def _student_scores(model, request, u_idx, item_idx):
@@ -137,10 +132,9 @@ def _student_scores(model, request, u_idx, item_idx):
         pool_seed=distill.request_pool_seed(cfg.seed, request.request_id))
 
 
-def fused_rank(model: CDMModel, request, K: int, gamma: float,
-               counters: dict | None = None) -> RankedList:
-    scores = fused_scores(model, request, gamma, counters)
-    idx = top_k_fused(scores, K, counters)
+def fused_rank(model: CDMModel, request, K: int, gamma: float) -> RankedList:
+    scores = fused_scores(model, request, gamma)
+    idx = top_k_fused(scores, K)
     return RankedList(request_id=request.request_id, item_idx=idx,
                       item_ids=[request.item_ids[i] for i in idx],
                       scores=scores[idx])

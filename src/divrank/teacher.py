@@ -31,19 +31,11 @@ class TeacherLabeling:
     gains: list            # recorded marginal gain per step
 
 
-def interest_similarity(e_i, e_j, u):
-    """sigma((e_i * u) . (e_j * u)) in (0, 1)."""
-    e_i, e_j, u = (np.asarray(v, dtype=np.float64) for v in (e_i, e_j, u))
-    return float(expit(np.dot(e_i * u, e_j * u)))
-
-
-def div_score(e_cand, selected_embs, u):
-    """1 - max similarity to the already-selected items."""
-    if len(selected_embs) == 0:
-        raise ValueError("div_score needs a non-empty selection; "
-                         "the first item is chosen by accuracy alone")
-    sims = [interest_similarity(e_cand, e_s, u) for e_s in selected_embs]
-    return 1.0 - max(sims)
+def _check_size(K, n):
+    if K < 1:
+        raise ValueError(f"K={K} must be >= 1")
+    if K > n:
+        raise ValueError(f"K={K} exceeds candidate count {n}")
 
 
 def mmr_core(acc, ew, lam, K, counters=None):
@@ -53,8 +45,7 @@ def mmr_core(acc, ew, lam, K, counters=None):
     Returns (selected indices in order, per-step marginal gains).
     """
     n = len(acc)
-    if K > n:
-        raise ValueError(f"K={K} exceeds candidate count {n}")
+    _check_size(K, n)
     first = int(np.argmax(acc))
     selected = [first]
     gains = [float(acc[first])]
@@ -82,8 +73,7 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     smaller index exactly as in mmr_core.
     """
     n = len(acc)
-    if K > n:
-        raise ValueError(f"K={K} exceeds candidate count {n}")
+    _check_size(K, n)
     last = int(np.argmax(acc))
     selected = [last]
     gains = [float(acc[last])]
@@ -100,13 +90,13 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     return selected, gains
 
 
-def mmr_select(request, model, lam, K, counters=None) -> TeacherLabeling:
+def mmr_select(request, model, lam, K) -> TeacherLabeling:
     """Interest-aware MMR over a request using the model's current state."""
     item_idx, cat_idx, _ = model.request_arrays(request)
     u_idx = model.user_index(request.user_id)
     acc = model.acc_scores(u_idx, item_idx, cat_idx)
     ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
-    selected, gains = mmr_greedy(acc, ew, lam, K, counters)
+    selected, gains = mmr_greedy(acc, ew, lam, K)
     y_tea = np.zeros(len(item_idx), dtype=np.float64)
     y_tea[selected] = 1.0
     return TeacherLabeling(

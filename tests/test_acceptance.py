@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from divrank import autodiff as ad
 from divrank import backbone as bb
 from divrank import data
 from divrank import distill
@@ -22,6 +21,8 @@ from divrank import evaluation as ev
 from divrank import sampler
 from divrank import teacher as teach
 from divrank.autodiff import Tensor
+
+from gradcheck import grad_check
 
 SEED = 20240815
 
@@ -156,7 +157,7 @@ class TestJointLossGradient:
                     P, u_idx, item_idx, cat_idx, labels, y_tea, cfg,
                     rng=None, training=False)
                 return total
-            worst[name] = ad.grad_check(f, model.params[name])
+            worst[name] = grad_check(f, model.params[name])
         assert max(worst.values()) < 1e-4, worst
 
 

@@ -10,6 +10,8 @@ from divrank import backbone as bb
 from divrank.autodiff import ParamStore, Tape, Tensor
 from divrank.backbone import ConfigError, TrainConfig
 
+from gradcheck import grad_check
+
 RNG = np.random.default_rng(7)
 
 
@@ -32,7 +34,8 @@ class TestTrainConfig:
         ("d", 0), ("lr", 0.0), ("batch_size", 0), ("lam", -0.1),
         ("gamma", -1.0), ("k", 0), ("infonce_t", 0.0), ("dropout", 1.0),
         ("patience", 0), ("joint_epochs", -1), ("eval_fraction", 1.0),
-        ("max_context_pool", 3), ("seed", -1),
+        ("max_context_pool", 3), ("seed", -1), ("K_teacher", 0),
+        ("K_teacher", -3),
     ])
     def test_invalid_field_rejected(self, field, value):
         cfg = TrainConfig(**{field: value})
@@ -113,7 +116,7 @@ class TestScoring:
             probs = score_probs(P, 1, item_idx, cat_idx)
             return bb.bce_loss(probs, labels)
 
-        assert ad.grad_check(f, flat) < 1e-6
+        assert grad_check(f, flat) < 1e-6
 
 
 class TestBceLoss:

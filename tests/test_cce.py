@@ -14,6 +14,8 @@ from divrank.cce import (attention_scores_all, fuse_context, infonce_loss,
                          init_cce, negative_context, positive_context,
                          sample_contexts)
 
+from gradcheck import grad_check
+
 RNG = np.random.default_rng(31)
 
 
@@ -87,7 +89,7 @@ class TestSampleContexts:
         w = attention_scores_all(P, E, E)
         s = sample_contexts(w, self_mask(10, np.arange(10)), 2,
                             np.random.default_rng(1))
-        tape.backward(ad.tsum(s.w_pos) + ad.tsum(s.w_neg))
+        tape.backward(ad.add(ad.tsum(s.w_pos), ad.tsum(s.w_neg)))
         assert np.abs(P["cce_w1"].grad).max() > 0.0
         assert np.abs(P["cce_w2"].grad).max() > 0.0
 
@@ -114,7 +116,7 @@ class TestPooling:
         def f(leaf):
             return ad.tsum(ad.mul(positive_context(leaf, Tensor(V)), m))
 
-        assert ad.grad_check(f, RNG.standard_normal((2, 3))) < 1e-6
+        assert grad_check(f, RNG.standard_normal((2, 3))) < 1e-6
 
 
 class TestInfoNCE:
@@ -148,7 +150,7 @@ class TestInfoNCE:
         def f(leaf):
             return infonce_loss(leaf, Tensor(cp), Tensor(cn), 0.5)
 
-        assert ad.grad_check(f, RNG.standard_normal((3, 4))) < 1e-6
+        assert grad_check(f, RNG.standard_normal((3, 4))) < 1e-6
 
 
 class TestFusion:

@@ -101,6 +101,15 @@ class TestTrain:
         assert code == 2
         assert json.loads(out.err)["error"] == "ConfigError"
 
+    def test_teacher_size_below_one_errors(self, workspace, tmp_path, capsys):
+        _, data_path, _ = workspace
+        code, out = run(["train", "--data", str(data_path),
+                         "--out", str(tmp_path / "x")]
+                        + TRAIN_ARGS + ["--K-teacher", "0"], capsys)
+        assert code == 2
+        assert json.loads(out.err)["error"] == "ConfigError"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_data_file_errors(self, tmp_path, capsys):
         code, out = run(["train", "--data", str(tmp_path / "nope.jsonl"),
                          "--out", str(tmp_path / "x")] + TRAIN_ARGS, capsys)

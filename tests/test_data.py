@@ -10,7 +10,7 @@ import pytest
 from divrank import data
 from divrank.backbone import TrainConfig
 from divrank.data import (CandidateEntry, DataError, Dataset,
-                          SyntheticSpec, Vocab, generate_latents,
+                          SyntheticSpec, generate_latents,
                           generate_synthetic, load_jsonl, save_jsonl,
                           split_train_eval)
 from divrank.distill import CDMModel
@@ -117,21 +117,12 @@ class TestLoadJsonl:
 
 
 class TestVocab:
-    def test_first_seen_order(self):
-        v = Vocab()
-        assert [v.get_or_add(x) for x in ("b", "a", "b", "c")] == [0, 1, 0, 2]
-        assert v.keys() == ["b", "a", "c"]
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            Vocab()["missing"]
-
     def test_dataset_vocab_deterministic(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [valid_line("r1"), valid_line("r2", "u2")])
         a, b = load_jsonl(p), load_jsonl(p)
-        assert a.item_vocab.keys() == b.item_vocab.keys()
-        assert a.user_vocab.keys() == b.user_vocab.keys()
+        assert list(a.item_vocab.items()) == list(b.item_vocab.items())
+        assert list(a.user_vocab.items()) == list(b.user_vocab.items())
 
     def test_request_arrays_marks_unshown(self, tmp_path):
         p = tmp_path / "d.jsonl"

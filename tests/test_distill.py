@@ -22,6 +22,8 @@ from divrank.distill import (CheckpointError, TrainingDiverged,
                              load_checkpoint, save_checkpoint, train,
                              win_probabilities_detached)
 
+from gradcheck import grad_check
+
 
 def kd_loss(y_stu, y_tea):
     """Mean binary cross-entropy of student probabilities vs hard labels."""
@@ -54,7 +56,7 @@ class TestModelVocab:
             assert item_idx.tolist() == [ds.item_vocab[iid]
                                          for iid in req.item_ids]
             assert cat_idx.tolist() == [
-                ds.category_vocab[ds.items[iid].category_id]
+                ds.category_vocab[ds.items[iid]]
                 for iid in req.item_ids]
             assert labels.tolist() == list(req.labels)
 
@@ -196,7 +198,7 @@ class TestContextPool:
                                                 pool=pool)
                 return total
 
-            assert ad.grad_check(f, params[name]) < 1e-4, name
+            assert grad_check(f, params[name]) < 1e-4, name
 
 
 class TestServingPath:
@@ -228,7 +230,7 @@ class TestServingPath:
         params = model.params.copy()
         # row maxima of the attention scores now differ by far more than
         # the ~745 that exp can span
-        params["cce_w1"] = params["cce_w1"] * 1e5
+        params["cce_w1"][...] *= 1e5
         item_idx, _, _ = model.request_arrays(ds.requests[0])
         probs = win_probabilities_detached(params, 0, item_idx, model.config)
         assert np.all(np.isfinite(probs))

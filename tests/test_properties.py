@@ -90,11 +90,12 @@ def test_loader_keeps_ids_labels_and_first_seen_order(requests):
                 items.append(c["item_id"])
             if c["category"] not in categories:
                 categories.append(c["category"])
-    assert ds.item_vocab.keys() == items
-    assert ds.category_vocab.keys() == categories
-    assert ds.user_vocab.keys() == users
-    assert {iid: it.category_id for iid, it in ds.items.items()} == \
-        {c["item_id"]: c["category"]
+    # each vocabulary maps its ids, in first-seen order, to 0, 1, 2, ...
+    assert list(ds.item_vocab.items()) == [(k, i) for i, k in enumerate(items)]
+    assert list(ds.category_vocab.items()) == \
+        [(k, i) for i, k in enumerate(categories)]
+    assert list(ds.user_vocab.items()) == [(k, i) for i, k in enumerate(users)]
+    assert ds.items == {c["item_id"]: c["category"]
          for req in requests for c in req["candidates"]}
 
 
@@ -108,7 +109,7 @@ def test_save_load_round_trip(requests):
         again = load_jsonl(path)
     assert again.requests == ds.requests
     assert again.items == ds.items
-    assert again.item_vocab.keys() == ds.item_vocab.keys()
+    assert list(again.item_vocab.items()) == list(ds.item_vocab.items())
 
 
 @SETTINGS

@@ -7,10 +7,25 @@ import pytest
 from scipy.special import expit
 
 from divrank import teacher
-from divrank.teacher import (brute_force_core, div_score,
-                             interest_similarity, mmr_core, mmr_greedy)
+from divrank.teacher import brute_force_core, mmr_core, mmr_greedy
 
 RNG = np.random.default_rng(42)
+
+
+def interest_similarity(e_i, e_j, u):
+    """sigma((e_i * u) . (e_j * u)) in (0, 1): the teacher's similarity
+    for one pair, in scalar form."""
+    e_i, e_j, u = (np.asarray(v, dtype=np.float64) for v in (e_i, e_j, u))
+    return float(expit(np.dot(e_i * u, e_j * u)))
+
+
+def div_score(e_cand, selected_embs, u):
+    """1 - max similarity to the already-selected items."""
+    if len(selected_embs) == 0:
+        raise ValueError("div_score needs a non-empty selection; "
+                         "the first item is chosen by accuracy alone")
+    sims = [interest_similarity(e_cand, e_s, u) for e_s in selected_embs]
+    return 1.0 - max(sims)
 
 
 def brute_force_best_subset(request, model, lam, K):
@@ -109,6 +124,13 @@ class TestGreedySelection:
         acc, ew = random_instance(n=4)
         with pytest.raises(ValueError):
             mmr_core(acc, ew, 0.1, K=5)
+
+    @pytest.mark.parametrize("greedy", [mmr_core, mmr_greedy])
+    def test_k_below_one_rejected(self, greedy):
+        acc, ew = random_instance(n=4)
+        for K in (0, -3):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                greedy(acc, ew, 0.1, K=K)
 
     def test_counter_counts_full_recompute(self):
         acc, ew = random_instance(n=20)
