@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from divrank import data
-from divrank.backbone import TrainConfig
-from divrank.data import (CandidateEntry, DataError, Dataset,
+from divrank.backbone import TrainConfig, VocabError
+from divrank.data import (CandidateEntry, DataError, Dataset, Request,
                           SyntheticSpec, generate_latents,
                           generate_synthetic, load_jsonl, save_jsonl,
                           split_train_eval)
@@ -117,6 +117,24 @@ class TestLoadJsonl:
 
 
 class TestVocab:
+    def test_first_seen_order(self, tmp_path):
+        assert list(data._first_seen(["b", "a", "b", "c"]).items()) == \
+            [("b", 0), ("a", 1), ("c", 2)]
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [valid_line("r1", "u2"), valid_line("r2", "u1"),
+                        valid_line("r3", "u2")])
+        assert list(load_jsonl(p).user_vocab.items()) == \
+            [("u2", 0), ("u1", 1)]
+
+    def test_unknown_key_raises(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [valid_line()])
+        ds = load_jsonl(p)
+        model = CDMModel.from_dataset(ds, TrainConfig())
+        stranger = Request("r2", "u1", ("i0", "missing"), (1, 0))
+        with pytest.raises(VocabError, match="'missing'"):
+            model.request_arrays(stranger)
+
     def test_dataset_vocab_deterministic(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [valid_line("r1"), valid_line("r2", "u2")])
