@@ -216,6 +216,51 @@ def matmul(a, b):
     return _record(tape, ad @ bd, (a, b), back)
 
 
+def segment_matmul(a, b, a_offsets, b_offsets, transpose_b=False):
+    """Block-diagonal matrix product over matching row segments.
+
+    Rows a_offsets[r]:a_offsets[r+1] of a meet only the m_r rows
+    b_offsets[r]:b_offsets[r+1] of b. With transpose_b each block is
+    a_r @ b_r.T, written left-aligned into an (len(a), max m_r) output
+    that is 0 elsewhere; without it each block is a_r[:, :m_r] @ b_r, and
+    a's columns past m_r are not read.
+    """
+    a, b = _coerce(a), _coerce(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("segment_matmul supports 2-D operands only")
+    tape = _tape_of(a, b)
+    ad, bd = a.data, b.data
+    blocks = [(slice(a0, a1), slice(b0, b1), b1 - b0) for a0, a1, b0, b1 in
+              zip(a_offsets[:-1], a_offsets[1:], b_offsets[:-1], b_offsets[1:])]
+    if transpose_b:
+        out = np.zeros((ad.shape[0], max(m for _, _, m in blocks)))
+        for ra, rb, m in blocks:
+            out[ra, :m] = ad[ra] @ bd[rb].T
+    else:
+        out = np.empty((ad.shape[0], bd.shape[1]))
+        for ra, rb, m in blocks:
+            out[ra] = ad[ra, :m] @ bd[rb]
+
+    def back(g):
+        ga = np.zeros_like(ad) if a.node is not None else None
+        gb = np.zeros_like(bd) if b.node is not None else None
+        for ra, rb, m in blocks:
+            if transpose_b:
+                gr = g[ra, :m]
+                if ga is not None:
+                    ga[ra] += gr @ bd[rb]
+                if gb is not None:
+                    gb[rb] += gr.T @ ad[ra]
+            else:
+                if ga is not None:
+                    ga[ra, :m] += g[ra] @ bd[rb].T
+                if gb is not None:
+                    gb[rb] += ad[ra, :m].T @ g[ra]
+        return ga, gb
+
+    return _record(tape, out, (a, b), back)
+
+
 def relu(a):
     a = _coerce(a)
     mask = a.data > 0.0
@@ -279,6 +324,13 @@ def tmean(a, axis=None, keepdims=False):
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def weighted_mean(a, weights=None):
+    """sum(weights * a) over all entries; weights=None is the plain mean."""
+    if weights is None:
+        return tmean(a)
+    return tsum(mul(np.asarray(weights, dtype=np.float64), a))
+
+
 def concat(tensors, axis=-1):
     tensors = [_coerce(t) for t in tensors]
     tape = _tape_of(*tensors)
@@ -293,14 +345,6 @@ def concat(tensors, axis=-1):
                      for p, t in zip(parts, tensors))
 
     return _record(tape, out, tensors, back)
-
-
-def transpose(a):
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return _record(a.tape, np.ascontiguousarray(a.data.T), (a,),
-                   lambda g: (g.T,))
 
 
 def reshape(a, shape):
@@ -368,6 +412,17 @@ def take_per_row(a, idx):
         return (_scatter_add(flat, g, shape),)
 
     return _record(a.tape, out, (a,), back)
+
+
+def put_per_row(a, idx, width):
+    """a: (N, k); idx: (N, k) distinct columns per row -> (N, width) zeros
+    with row i's entries a[i] at columns idx[i] (inverse of take_per_row)."""
+    a = _coerce(a)
+    idx = np.asarray(idx)
+    out = np.zeros((a.data.shape[0], width))
+    np.put_along_axis(out, idx, a.data, axis=1)
+    return _record(a.tape, out, (a,),
+                   lambda g: (np.take_along_axis(g, idx, axis=1),))
 
 
 def add_constant(a, c):

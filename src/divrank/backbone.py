@@ -127,9 +127,11 @@ def score_logits(P, user_idx, item_idx, cat_idx, *, training=False,
     """Batched scorer logits on whatever tape P's tensors live on.
 
     P maps parameter name -> Tensor; index arrays are plain integer arrays.
+    user_idx is one user row for every candidate or one row per candidate.
     """
     n = len(item_idx)
-    eu = ad.gather_rows(P["user_emb"], np.full(n, user_idx, dtype=np.int64))
+    eu = ad.gather_rows(P["user_emb"], np.broadcast_to(
+        np.asarray(user_idx, dtype=np.int64), (n,)))
     ei = ad.gather_rows(P["item_emb"], np.asarray(item_idx, dtype=np.int64))
     ec = ad.gather_rows(P["cat_emb"], np.asarray(cat_idx, dtype=np.int64))
     x = ad.concat([eu, ei, ec, ad.mul(eu, ei), ad.mul(eu, ec)], axis=1)
@@ -154,10 +156,11 @@ def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):
     return expit(z)
 
 
-def bce_loss(predictions: Tensor, labels) -> Tensor:
+def bce_loss(predictions: Tensor, labels, weights=None) -> Tensor:
     """Mean binary cross-entropy over labeled entries.
 
-    predictions are probabilities in (0, 1); labels an array of {0, 1}.
+    predictions are probabilities in (0, 1); labels an array of {0, 1};
+    weights, if given, replace the mean by sum(weights * entry loss).
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.size == 0:
@@ -166,4 +169,4 @@ def bce_loss(predictions: Tensor, labels) -> Tensor:
         raise ValueError("labels must be 0 or 1")
     term = ad.add(ad.mul(y, ad.log(predictions)),
                   ad.mul(1.0 - y, ad.log(ad.sub(1.0, predictions))))
-    return ad.neg(ad.tmean(term))
+    return ad.neg(ad.weighted_mean(term, weights))

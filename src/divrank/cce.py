@@ -40,24 +40,41 @@ class ContextSample:
     w_neg: Tensor
 
 
-def attention_scores_all(P, E: Tensor, E_pool: Tensor) -> Tensor:
-    """(N, |pool|) scaled dot-product scores of every target (rows of E)
-    against the context-pool keys (rows of E_pool), unmasked."""
-    d = E.data.shape[-1]
-    q = ad.matmul(E, P["cce_w1"])
+def _offsets(n_rows, n_pool, segments):
+    """(row offsets, pool offsets): segments itself, or without it one
+    request holding every row and every pool row."""
+    return ((0, n_rows), (0, n_pool)) if segments is None else segments
+
+
+def attention_scores_all(P, q: Tensor, E_pool: Tensor,
+                         segments=None) -> Tensor:
+    """Scaled dot-product scores of the targets' queries q = E @ cce_w1
+    against the context-pool keys E_pool @ cce_w2, unmasked.
+
+    segments = (row_offsets, pool_offsets): rows row_offsets[r]:
+    row_offsets[r+1] of q are request r's targets and meet only its pool,
+    rows pool_offsets[r]:pool_offsets[r+1] of E_pool. The (N, width)
+    result holds each request's scores left-aligned, with width its widest
+    pool and 0 beyond a narrower one. Without segments all rows are one
+    request.
+    """
+    d = q.data.shape[-1]
     keys = ad.matmul(E_pool, P["cce_w2"])
-    return ad.scale(ad.matmul(q, ad.transpose(keys)), 1.0 / math.sqrt(d))
+    row_off, pool_off = _offsets(q.data.shape[0], E_pool.data.shape[0],
+                                 segments)
+    return ad.scale(ad.segment_matmul(q, keys, row_off, pool_off,
+                                      transpose_b=True), 1.0 / math.sqrt(d))
 
 
 def sample_contexts(w: Tensor, mask, k: int, rng=None) -> ContextSample:
     """Gumbel-Top-k draws of a positive set (high attention) and a negative
     set (negated attention), with independent noise per side.
 
-    w holds the (N, |pool|) raw scores of a request's targets against its
+    w holds the (N, |pool|) raw scores of the targets against their
     context pool. The additive mask (MASK_VALUE at each target's own
-    column, 0 elsewhere) is applied after negation too, so a target can
-    never enter its own context. Draws may overlap; they are not forced
-    disjoint.
+    column and at any padding column, 0 elsewhere) is applied after
+    negation too, so a target can never enter its own context. Draws may
+    overlap; they are not forced disjoint.
 
     The noise goes onto the masked scores directly rather than onto their
     log-softmax: the two differ by a per-row constant, which changes
@@ -79,29 +96,41 @@ def sample_contexts(w: Tensor, mask, k: int, rng=None) -> ContextSample:
                          w_neg=ad.take_per_row(w_neg, neg_idx))
 
 
-def _pool(weights: Tensor, values: Tensor) -> Tensor:
-    w3 = ad.reshape(weights, weights.data.shape + (1,))
-    return ad.tsum(ad.mul(w3, values), axis=-2)
+def _pool(weights: Tensor, idx, values: Tensor, segments) -> Tensor:
+    """Each target's weights over its k sampled pool columns idx applied
+    to its request's pool value rows."""
+    row_off, pool_off = _offsets(weights.data.shape[0], values.data.shape[0],
+                                 segments)
+    dense = ad.put_per_row(weights, idx, int(np.diff(pool_off).max()))
+    return ad.segment_matmul(dense, values, row_off, pool_off)
 
 
-def positive_context(w_tilde: Tensor, values: Tensor) -> Tensor:
-    """softmax-weighted pooling of the sampled value rows (target attention)."""
-    return _pool(ad.softmax(w_tilde), values)
+def positive_context(w_tilde: Tensor, idx, values: Tensor,
+                     segments=None) -> Tensor:
+    """softmax-weighted pooling of the sampled value rows (target attention).
+
+    w_tilde: (N, k) perturbed scores at the pool columns idx; values: the
+    pool's value rows, laid out by segments as in attention_scores_all.
+    """
+    return _pool(ad.softmax(w_tilde), idx, values, segments)
 
 
-def negative_context(w_tilde: Tensor, values: Tensor) -> Tensor:
+def negative_context(w_tilde: Tensor, idx, values: Tensor,
+                     segments=None) -> Tensor:
     """Anti-attention: weights from the negated perturbed scores."""
-    return _pool(ad.softmax(ad.neg(w_tilde)), values)
+    return _pool(ad.softmax(ad.neg(w_tilde)), idx, values, segments)
 
 
-def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float) -> Tensor:
-    """Two-term InfoNCE; batched inputs are averaged."""
+def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,
+                 weights=None) -> Tensor:
+    """Two-term InfoNCE; batched inputs are averaged, or summed with the
+    given row weights."""
     if t <= 0.0:
         raise ad.DomainError("InfoNCE temperature must be positive")
     s_pos = ad.tsum(ad.mul(q, c_pos), axis=-1)
     s_neg = ad.tsum(ad.mul(q, c_neg), axis=-1)
     margin = ad.scale(ad.sub(s_neg, s_pos), 1.0 / t)
-    return ad.tmean(ad.softplus(margin))
+    return ad.weighted_mean(ad.softplus(margin), weights)
 
 
 def fuse_context(u, c_pos: Tensor, c_neg: Tensor, P, *, training=False,

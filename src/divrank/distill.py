@@ -1,9 +1,11 @@
 """Student win-probability head, distillation losses, the two-phase
 training loop and checkpoint persistence.
 
-Training is define-by-run: each batch builds one tape covering every
-request in the batch, with all of a request's candidates processed as one
-batched target block.
+Training is define-by-run: each SGD step records one batched block on one
+tape (batch_loss). The candidates of all the batch's requests are stacked
+as rows; each target attends over its own request's context pool, padded
+to the batch's widest pool and masked. request_loss is the same function
+on a batch of one.
 """
 
 from __future__ import annotations
@@ -186,62 +188,139 @@ def _softmax_rows(x):
 # losses
 
 
-def _kd_from_logits(z: Tensor, y_tea) -> Tensor:
+def _kd_from_logits(z: Tensor, y_tea, weights=None) -> Tensor:
     # softplus(z) - y*z == -y log(sigma) - (1-y) log(1-sigma), stable
-    return ad.tmean(ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z)))
+    terms = ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z))
+    return ad.weighted_mean(terms, weights)
 
 
-def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                 config: TrainConfig, rng=None, training=False, pool=None):
-    """Joint per-request loss on the tape of P's tensors.
+class _StackedDraws:
+    """Stands in for the generator inside one batched step: call i of
+    random() returns block i, the uniforms that every request of the batch
+    would have drawn at that call on its own, stacked along rows."""
 
-    Every target attends over the keys and values of the context pool,
-    the candidate positions `pool` (default: context_pool(n, config, 0),
-    as win_probabilities_detached draws it for pool_seed 0).
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
 
-    Returns (total, components dict of Tensors). rng=None disables both
-    Gumbel noise and dropout regardless of the training flag.
+    def random(self, shape):
+        block = next(self._blocks)
+        if block.shape != tuple(shape):
+            raise ad.ShapeError(f"pre-drawn block {block.shape} != {shape}")
+        return block
+
+
+def _draw_noise(rng, row_off, n_shown, ms, config):
+    """Each request's uniforms in the order a one-request batch draws them
+    (MLP dropout x2; with context pools ms, Gumbel for the positive and
+    negative sides and FFN dropout), stacked per draw; Gumbel blocks are
+    padded to the widest pool."""
+    h1, h2 = bb.hidden_sizes(config.d)
+    drop = config.dropout > 0.0
+    mlp1, mlp2, ffn = [], [], []
+    if ms is not None:
+        gumbel = np.full((2, row_off[-1], max(ms)), 0.5)
+    for r, (a, b) in enumerate(zip(row_off[:-1], row_off[1:])):
+        if drop and n_shown[r] > 0:
+            mlp1.append(rng.random((n_shown[r], h1)))
+            mlp2.append(rng.random((n_shown[r], h2)))
+        if ms is not None:
+            for side in gumbel:
+                side[a:b, :ms[r]] = rng.random((b - a, ms[r]))
+            if drop:
+                ffn.append(rng.random((b - a, 2 * config.d)))
+    blocks = [np.concatenate(p) for p in (mlp1, mlp2) if p]
+    if ms is not None:
+        blocks += [gumbel[0], gumbel[1]] + ([np.concatenate(ffn)] if drop
+                                            else [])
+    return _StackedDraws(blocks)
+
+
+def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
+               training=False):
+    """Joint loss of a batch of requests as one block on P's tape.
+
+    batch holds one (u_idx, item_idx, cat_idx, labels, pool) tuple per
+    request and y_teas its teacher labels; y_teas=None computes only the
+    accuracy BCE (the warm-up loss). The candidates of all requests are
+    stacked as rows. Each target attends over the keys and values of its
+    own request's context pool (candidate positions `pool`); pool columns
+    are padded to the widest pool and masked.
+
+    The loss and each component are the mean over requests of that
+    request's own mean: rows are weighted 1/(B*n_r), BCE covers only
+    shown rows, and a request with no shown rows adds 0 to the BCE.
+    Training draws each request's noise in request order, so a batch uses
+    the random numbers a loop over its requests would.
+
+    Returns (total, components dict of Tensors); z_stu holds the student
+    logits of all rows. rng=None disables both Gumbel noise and dropout
+    regardless of the training flag.
     """
-    n = len(item_idx)
-    if pool is None:
-        pool = context_pool(n, config, 0)
-    m = len(pool)
-    noise_rng = rng if training else None
-    drop = config.dropout if (training and rng is not None) else 0.0
+    B = len(batch)
+    joint = y_teas is not None
+    users, items, cats, labels, pools = zip(*batch)
+    ns = np.array([len(i) for i in items])
+    n_shown = np.array([np.count_nonzero(y >= 0) for y in labels])
+    row_off = np.concatenate(([0], np.cumsum(ns)))
+    users = np.repeat(users, ns)
+    items = np.concatenate(items)
+    labels = np.concatenate(labels)
+    shown = np.flatnonzero(labels >= 0)
+    ms = None
+    if joint:
+        ms = np.array([len(p) for p in pools])
+        if 2 * config.k > ms.min() - 1:
+            raise ad.DomainError(
+                f"2k={2 * config.k} exceeds usable pool {ms.min() - 1}")
+    draws = None
+    if training and rng is not None:
+        draws = _draw_noise(rng, row_off, n_shown, ms, config)
+    drop = config.dropout if draws is not None else 0.0
 
     components = {}
-    shown = np.flatnonzero(labels >= 0)
     if shown.size > 0:
         f_shown = ad.sigmoid(bb.score_logits(
-            P, u_idx, item_idx[shown], cat_idx[shown],
-            training=training, dropout=drop, rng=rng))
-        loss_bce = bb.bce_loss(f_shown, labels[shown])
+            P, users[shown], items[shown], np.concatenate(cats)[shown],
+            training=training, dropout=drop, rng=draws))
+        weights = 1.0 / (B * np.repeat(n_shown, n_shown))
+        loss_bce = bb.bce_loss(f_shown, labels[shown], weights)
     else:
         loss_bce = Tensor(0.0)
     components["bce"] = loss_bce
+    if not joint:
+        return loss_bce, components
 
-    E = ad.gather_rows(P["item_emb"], item_idx)
-    # a pool of all n positions is E itself: no gather node on the tape
-    E_pool = E if m == n else ad.gather_rows(E, pool)
-    w = cce.attention_scores_all(P, E, E_pool)
-    mask = np.zeros((n, m))
-    mask[pool, np.arange(m)] = cce.MASK_VALUE  # target pool[j] is column j
-    sample = cce.sample_contexts(w, mask, config.k, noise_rng)
-    values = ad.matmul(E_pool, P["cce_w3"])
-    v_pos = ad.gather_rows(values, sample.pos_idx)  # (N, k, d) view of rows
-    v_neg = ad.gather_rows(values, sample.neg_idx)
-    c_pos = cce.positive_context(sample.w_pos, v_pos)
-    c_neg = cce.negative_context(sample.w_neg, v_neg)
-
+    pool_off = np.concatenate(([0], np.cumsum(ms)))
+    pool_rows = np.concatenate([r0 + p for r0, p in zip(row_off, pools)])
+    E = ad.gather_rows(P["item_emb"], items)
+    # pools of all n positions are E itself: no gather node on the tape
+    E_pool = E if len(pool_rows) == len(items) \
+        else ad.gather_rows(E, pool_rows)
+    segments = (row_off, pool_off)
     q = ad.matmul(E, P["cce_w1"])
-    loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t)
+    w = cce.attention_scores_all(P, q, E_pool, segments)
+    # mask padding columns and each target's own column: target
+    # pool[j] of a request is its column j
+    mask = np.where(np.arange(ms.max()) < np.repeat(ms, ns)[:, None], 0.0,
+                    cce.MASK_VALUE)
+    pool_cols = np.arange(len(pool_rows)) - np.repeat(pool_off[:-1], ms)
+    mask[pool_rows, pool_cols] = cce.MASK_VALUE
+    sample = cce.sample_contexts(w, mask, config.k, draws)
+    values = ad.matmul(E_pool, P["cce_w3"])
+    c_pos = cce.positive_context(sample.w_pos, sample.pos_idx, values,
+                                 segments)
+    c_neg = cce.negative_context(sample.w_neg, sample.neg_idx, values,
+                                 segments)
+
+    row_w = 1.0 / (B * np.repeat(ns, ns))
+    loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t, row_w)
     components["infonce"] = loss_nce
 
-    u_row = ad.gather_rows(P["user_emb"], np.asarray([u_idx], dtype=np.int64))
-    c_fused = cce.fuse_context(u_row, c_pos, c_neg, P, training=training,
-                               dropout=drop, rng=rng)
+    u_rows = ad.gather_rows(P["user_emb"], users)
+    c_fused = cce.fuse_context(u_rows, c_pos, c_neg, P, training=training,
+                               dropout=drop, rng=draws)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
-    loss_kd = _kd_from_logits(z, y_tea)
+    loss_kd = _kd_from_logits(z, np.concatenate(y_teas), row_w)
     components["kd"] = loss_kd
     components["z_stu"] = z
 
@@ -249,6 +328,19 @@ def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
                    ad.add(ad.scale(loss_kd, config.beta1),
                           ad.scale(loss_nce, config.beta2)))
     return total, components
+
+
+def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
+                 config: TrainConfig, rng=None, training=False, pool=None):
+    """Joint loss of one request: batch_loss over a batch of one.
+
+    The pool defaults to context_pool(n, config, 0), as
+    win_probabilities_detached draws it for pool_seed 0.
+    """
+    if pool is None:
+        pool = context_pool(len(item_idx), config, 0)
+    return batch_loss(P, [(u_idx, item_idx, cat_idx, labels, pool)],
+                      [y_tea], config, rng=rng, training=training)
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +400,21 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}, step {step}: {value}")
 
-    # phase 1: backbone-only BCE warm-up
+    # phase 1: backbone-only BCE warm-up over the requests with shown labels
     for epoch in range(config.warm_epochs):
         order = rng.permutation(len(train_packed))
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = order[start:start + config.batch_size]
+            # the BCE is a mean over requests with a shown label (field 3)
+            batch = [train_packed[i]
+                     for i in order[start:start + config.batch_size]
+                     if np.any(train_packed[i][3] >= 0)]
+            if not batch:
+                continue
             tape = ad.Tape()
             P = model.params.leaves(tape)
-            acc_terms = []
-            for idx in batch:
-                u_idx, item_idx, cat_idx, labels, _ = train_packed[idx]
-                shown = np.flatnonzero(labels >= 0)
-                if shown.size == 0:
-                    continue
-                f = ad.sigmoid(bb.score_logits(
-                    P, u_idx, item_idx[shown], cat_idx[shown],
-                    training=True, dropout=config.dropout, rng=rng))
-                acc_terms.append(bb.bce_loss(f, labels[shown]))
-            if not acc_terms:
-                continue
-            loss = acc_terms[0]
-            for t in acc_terms[1:]:
-                loss = ad.add(loss, t)
-            loss = ad.scale(loss, 1.0 / len(acc_terms))
+            loss, _ = batch_loss(P, batch, None, config, rng=rng,
+                                 training=True)
             check_finite(loss.item(), epoch, step)
             tape.backward(loss)
             model.params.sgd_step(P, config.lr)
@@ -353,23 +436,16 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             batch = order[start:start + config.batch_size]
             tape = ad.Tape()
             P = model.params.leaves(tape)
-            loss = None
-            comp_acc = {"bce": 0.0, "kd": 0.0, "infonce": 0.0}
-            for idx in batch:
-                u_idx, item_idx, cat_idx, labels, pool = train_packed[idx]
-                total, comps = request_loss(
-                    P, u_idx, item_idx, cat_idx, labels, train_labels[idx],
-                    config, rng=rng, training=True, pool=pool)
-                loss = total if loss is None else ad.add(loss, total)
-                for key in comp_acc:
-                    comp_acc[key] += comps[key].item()
-            loss = ad.scale(loss, 1.0 / len(batch))
+            loss, comps = batch_loss(
+                P, [train_packed[i] for i in batch],
+                [train_labels[i] for i in batch], config, rng=rng,
+                training=True)
             check_finite(loss.item(), epoch, step)
             tape.backward(loss)
             model.params.sgd_step(P, config.lr)
             sums["total"].append(loss.item())
-            for key in comp_acc:
-                sums[key].append(comp_acc[key] / len(batch))
+            for key in ("bce", "kd", "infonce"):
+                sums[key].append(comps[key].item())
 
         val_total, val_comps = _joint_val_loss(model, val_packed, val_labels,
                                                config)
@@ -408,19 +484,20 @@ def _phase1_val_loss(model, packed):
 
 
 def _joint_val_loss(model, packed, labels_list, config):
+    """Eval-mode joint loss and components, each the mean over requests,
+    computed batch_size requests at a time."""
     P = {name: Tensor(arr) for name, arr in model.params.items()}
-    totals, bces, kds, nces = [], [], [], []
-    for (u_idx, item_idx, cat_idx, labels, pool), y_tea in zip(packed,
-                                                               labels_list):
-        total, comps = request_loss(P, u_idx, item_idx, cat_idx, labels,
-                                    y_tea, config, rng=None, training=False,
-                                    pool=pool)
-        totals.append(total.item())
-        bces.append(comps["bce"].item())
-        kds.append(comps["kd"].item())
-        nces.append(comps["infonce"].item())
-    return _mean(totals), {"val_bce": _mean(bces), "val_kd": _mean(kds),
-                           "val_infonce": _mean(nces)}
+    sums = {"total": 0.0, "bce": 0.0, "kd": 0.0, "infonce": 0.0}
+    for start in range(0, len(packed), config.batch_size):
+        stop = start + config.batch_size
+        total, comps = batch_loss(P, packed[start:stop],
+                                  labels_list[start:stop], config)
+        share = len(packed[start:stop]) / len(packed)
+        sums["total"] += share * total.item()
+        for key in ("bce", "kd", "infonce"):
+            sums[key] += share * comps[key].item()
+    return sums["total"], {f"val_{key}": sums[key]
+                           for key in ("bce", "kd", "infonce")}
 
 
 # ---------------------------------------------------------------------------

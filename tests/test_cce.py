@@ -40,11 +40,27 @@ class TestAttentionScores:
         params, P = make_P(d)
         E = RNG.standard_normal((5, d))
         pool = [0, 2, 3]
-        w = attention_scores_all(P, Tensor(E), Tensor(E[pool])).data
         q = E @ params["cce_w1"]
+        w = attention_scores_all(P, Tensor(q), Tensor(E[pool])).data
         keys = E[pool] @ params["cce_w2"]
         assert w.shape == (5, 3)
         np.testing.assert_allclose(w, q @ keys.T / math.sqrt(d), atol=1e-12)
+
+    def test_segments_score_only_their_own_pool(self):
+        d = 6
+        params, P = make_P(d)
+        E = RNG.standard_normal((9, d))
+        q = E @ params["cce_w1"]
+        pools = [E[[0, 2]], E[[3, 4, 5, 8]]]  # requests of 3 and 6 rows
+        w = attention_scores_all(P, Tensor(q), Tensor(np.concatenate(pools)),
+                                 ([0, 3, 9], [0, 2, 6])).data
+        assert w.shape == (9, 4)
+        for rows, pool in ((slice(0, 3), pools[0]), (slice(3, 9), pools[1])):
+            m = len(pool)
+            np.testing.assert_allclose(
+                w[rows, :m], q[rows] @ (pool @ params["cce_w2"]).T
+                / math.sqrt(d), atol=1e-12)
+            np.testing.assert_array_equal(w[rows, m:], 0.0)
 
 
 class TestSampleContexts:
@@ -53,7 +69,8 @@ class TestSampleContexts:
         _, P = make_P(d)
         E = RNG.standard_normal((n, d))
         pool = np.array([0, 2, 3, 5, 7, 8, 10, 11])
-        w = attention_scores_all(P, Tensor(E), Tensor(E[pool]))
+        w = attention_scores_all(P, ad.matmul(Tensor(E), P["cce_w1"]),
+                                 Tensor(E[pool]))
         rng = np.random.default_rng(0)
         for _ in range(30):
             s = sample_contexts(w, self_mask(n, pool), k, rng)
@@ -78,7 +95,7 @@ class TestSampleContexts:
     def test_pool_too_small_rejected(self):
         _, P = make_P(4)
         E = Tensor(RNG.standard_normal((5, 4)))
-        w = attention_scores_all(P, E, E)
+        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
         with pytest.raises(DomainError):
             sample_contexts(w, self_mask(5, np.arange(5)), 3)
 
@@ -86,7 +103,7 @@ class TestSampleContexts:
         tape = Tape()
         params, P = make_P(6, tape=tape)
         E = Tensor(RNG.standard_normal((10, 6)))
-        w = attention_scores_all(P, E, E)
+        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
         s = sample_contexts(w, self_mask(10, np.arange(10)), 2,
                             np.random.default_rng(1))
         tape.backward(ad.add(ad.tsum(s.w_pos), ad.tsum(s.w_neg)))
@@ -97,26 +114,43 @@ class TestSampleContexts:
 class TestPooling:
     def test_positive_context_is_softmax_average(self):
         w = Tensor(np.array([[1.0, 2.0, 0.5]]))
-        V = RNG.standard_normal((1, 3, 4))
-        out = positive_context(w, Tensor(V)).data
+        V = RNG.standard_normal((5, 4))
+        idx = np.array([[4, 0, 2]])
+        out = positive_context(w, idx, Tensor(V)).data
         a = np.exp(w.data[0] - w.data[0].max())
         a = a / a.sum()
-        np.testing.assert_allclose(out[0], a @ V[0], atol=1e-12)
+        np.testing.assert_allclose(out[0], a @ V[idx[0]], atol=1e-12)
 
     def test_negative_context_prefers_low_scores(self):
         w = Tensor(np.array([[5.0, -5.0]]))
-        V = np.stack([[np.array([1.0, 0.0]), np.array([0.0, 1.0])]])
-        out = negative_context(w, Tensor(V)).data
+        V = np.array([[1.0, 0.0], [0.0, 1.0]])
+        out = negative_context(w, np.array([[0, 1]]), Tensor(V)).data
         assert out[0, 1] > out[0, 0]  # mass on the low-score row
 
+    def test_segments_pool_only_their_own_values(self):
+        w = RNG.standard_normal((3, 2))
+        idx = np.array([[1, 0], [0, 2], [2, 1]])
+        V = RNG.standard_normal((5, 4))  # pools of 2 and 3 value rows
+        out = positive_context(Tensor(w), idx, Tensor(V),
+                               ([0, 1, 3], [0, 2, 5])).data
+        a = np.exp(w) / np.exp(w).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(out[0], a[0] @ V[0:2][idx[0]], atol=1e-12)
+        for i in (1, 2):
+            np.testing.assert_allclose(out[i], a[i] @ V[2:5][idx[i]],
+                                       atol=1e-12)
+
     def test_pooling_grad_check(self):
-        V = RNG.standard_normal((2, 3, 4))
+        idx = np.array([[0, 3, 1], [4, 2, 0]])
+        V = RNG.standard_normal((5, 4))
         m = RNG.standard_normal((2, 4))
 
         def f(leaf):
-            return ad.tsum(ad.mul(positive_context(leaf, Tensor(V)), m))
+            return ad.tsum(ad.mul(positive_context(leaf, idx, Tensor(V)), m))
 
         assert grad_check(f, RNG.standard_normal((2, 3))) < 1e-6
+        w = Tensor(RNG.standard_normal((2, 3)))
+        assert grad_check(lambda leaf: ad.tsum(ad.mul(
+            negative_context(w, idx, leaf), m)), V) < 1e-6
 
 
 class TestInfoNCE:
@@ -142,6 +176,14 @@ class TestInfoNCE:
         q = Tensor(np.ones((1, 2)))
         with pytest.raises(DomainError):
             infonce_loss(q, q, q, 0.0)
+
+    def test_row_weights_replace_the_mean(self):
+        q, cp, cn = (RNG.standard_normal((4, 6)) for _ in range(3))
+        per_row = np.logaddexp(0.0, ((q * cn).sum(1) - (q * cp).sum(1)) / 0.3)
+        weights = np.array([0.5, 0.5, 0.25, 0.25]) / 2
+        got = infonce_loss(Tensor(q), Tensor(cp), Tensor(cn), 0.3,
+                           weights).item()
+        assert got == pytest.approx(weights @ per_row, abs=1e-12)
 
     def test_grad_check_through_both_terms(self):
         cp = RNG.standard_normal((3, 4))

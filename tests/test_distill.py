@@ -14,6 +14,7 @@ from scipy.special import expit
 from divrank import autodiff as ad
 from divrank import backbone as bb
 from divrank import cce
+from divrank import data
 from divrank import distill
 from divrank import teacher as teach
 from divrank.autodiff import Tensor
@@ -22,6 +23,7 @@ from divrank.distill import (CheckpointError, TrainingDiverged,
                              load_checkpoint, save_checkpoint, train,
                              win_probabilities_detached)
 
+import loop_oracle
 from gradcheck import grad_check
 
 
@@ -149,13 +151,15 @@ class TestContextPool:
         config = dataclasses.replace(self.pooled(small_config),
                                      warm_epochs=0, joint_epochs=1)
         seen = {}
-        real = distill.request_loss
+        real = distill.batch_loss
 
-        def spy(P, u_idx, item_idx, *args, pool=None, **kwargs):
-            seen[tuple(item_idx)] = pool
-            return real(P, u_idx, item_idx, *args, pool=pool, **kwargs)
+        def spy(P, batch, y_teas, *args, **kwargs):
+            if y_teas is not None:
+                for _, item_idx, _, _, pool in batch:
+                    seen[tuple(item_idx)] = pool
+            return real(P, batch, y_teas, *args, **kwargs)
 
-        monkeypatch.setattr(distill, "request_loss", spy)
+        monkeypatch.setattr(distill, "batch_loss", spy)
         model, _ = train(small_dataset, config)
         assert len(seen) == len(small_dataset.requests)
         for req in small_dataset.requests:
@@ -199,6 +203,133 @@ class TestContextPool:
                 return total
 
             assert grad_check(f, params[name]) < 1e-4, name
+
+
+class TestBatchedStep:
+    """batch_loss against the per-request loop it replaced, on a ragged
+    batch: pools below and above max_context_pool and a request with no
+    shown labels."""
+
+    SIZES = (12, 35, 25, 18, 9)
+
+    @staticmethod
+    def config():
+        return TrainConfig(d=4, k=2, max_context_pool=16, batch_size=5,
+                           lr=0.3, seed=2).validate()
+
+    @classmethod
+    def ragged_batch(cls, config, seed=0):
+        rng = np.random.default_rng(seed)
+        params = ad.ParamStore()
+        bb.init_backbone(params, 50, 4, 3, config.d, rng, emb_scale=0.5)
+        cce.init_cce(params, config.d, rng)
+        batch, y_teas = [], []
+        for r, n in enumerate(cls.SIZES):
+            item_idx = rng.permutation(50)[:n]
+            cat_idx = rng.integers(0, 4, size=n)
+            labels = np.where(rng.random(n) < 0.4,
+                              rng.integers(0, 2, size=n), -1)
+            if r == 2:
+                labels[:] = -1  # no shown labels
+            pool = distill.context_pool(n, config, 100 + r)
+            batch.append((r % 3, item_idx, cat_idx, labels, pool))
+            y_teas.append((rng.random(n) < 0.3).astype(float))
+        return params, batch, y_teas
+
+    def test_eval_loss_is_mean_of_per_request_losses(self):
+        config = self.config()
+        params, batch, y_teas = self.ragged_batch(config)
+        capped = [len(pool) < len(item_idx)
+                  for _, item_idx, _, _, pool in batch]
+        assert any(capped) and not all(capped)
+        P = {n: Tensor(v) for n, v in params.items()}
+        total, comps = distill.batch_loss(P, batch, y_teas, config)
+        per_request = [loop_oracle.request_loss(P, *req[:4], y, config, req[4])
+                       for req, y in zip(batch, y_teas)]
+        one_batch = [distill.request_loss(P, *req[:4], y, config,
+                                          pool=req[4])
+                     for req, y in zip(batch, y_teas)]
+        for losses in (per_request, one_batch):
+            assert total.item() == pytest.approx(
+                np.mean([t.item() for t, _ in losses]), abs=1e-12)
+            for key in ("bce", "kd", "infonce"):
+                assert comps[key].item() == pytest.approx(
+                    np.mean([c[key].item() for _, c in losses]), abs=1e-12)
+            np.testing.assert_allclose(
+                comps["z_stu"].data,
+                np.concatenate([c["z_stu"].data for _, c in losses]),
+                rtol=0.0, atol=1e-12)
+
+    def test_training_step_matches_per_request_loop(self):
+        config = self.config()
+        params, batch, y_teas = self.ragged_batch(config)
+        oracle, batched = params.copy(), params.copy()
+        rng_o, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2):
+            shown = [req for req in batch if np.any(req[3] >= 0)]
+            want = loop_oracle.warmup_step(oracle, shown, config, rng_o)
+            tape = ad.Tape()
+            P = batched.leaves(tape)
+            loss, _ = distill.batch_loss(P, shown, None, config, rng=rng_b,
+                                         training=True)
+            tape.backward(loss)
+            batched.sgd_step(P, config.lr)
+            assert loss.item() == pytest.approx(want, abs=1e-12)
+
+            want = loop_oracle.joint_step(oracle, batch, y_teas, config, rng_o)
+            tape = ad.Tape()
+            P = batched.leaves(tape)
+            loss, _ = distill.batch_loss(P, batch, y_teas, config, rng=rng_b,
+                                         training=True)
+            tape.backward(loss)
+            batched.sgd_step(P, config.lr)
+            assert loss.item() == pytest.approx(want, abs=1e-12)
+            for name in distill.ALL_PARAM_NAMES:
+                np.testing.assert_allclose(batched[name], oracle[name],
+                                           rtol=0.0, atol=1e-12, err_msg=name)
+        # both consumed the same random numbers
+        assert rng_o.random() == rng_b.random()
+
+    def test_gradient_on_ragged_batch(self):
+        config = self.config()
+        params, batch, y_teas = self.ragged_batch(config)
+        for name in distill.ALL_PARAM_NAMES:
+            def f(leaf, name=name):
+                P = {k: Tensor(v) for k, v in params.items()}
+                P[name] = leaf
+                total, _ = distill.batch_loss(P, batch, y_teas, config)
+                return total
+
+            assert grad_check(f, params[name]) < 1e-4, name
+
+    def test_pool_below_2k_plus_1_refused(self):
+        config = self.config()
+        params, batch, y_teas = self.ragged_batch(config)
+        P = {n: Tensor(v) for n, v in params.items()}
+        u_idx, item_idx, cat_idx, labels, _ = batch[0]
+        short = (u_idx, item_idx[:4], cat_idx[:4], labels[:4], np.arange(4))
+        with pytest.raises(ad.DomainError):
+            distill.batch_loss(P, batch + [short], y_teas + [y_teas[0][:4]],
+                               config)
+
+    def test_repeat_run_bitwise_identical_on_ragged_requests(
+            self, small_dataset):
+        rng = np.random.default_rng(4)
+        requests = []
+        for req in small_dataset.requests:
+            n = int(rng.integers(9, len(req.item_ids) + 1))
+            labels = req.labels[:n] if rng.random() < 0.8 else (-1,) * n
+            requests.append(dataclasses.replace(
+                req, item_ids=req.item_ids[:n], labels=labels))
+        ds = data.Dataset(requests, small_dataset.items)
+        config = TrainConfig(d=8, k=3, K_teacher=5, warm_epochs=1,
+                             joint_epochs=2, batch_size=4,
+                             max_context_pool=16, seed=3).validate()
+        m1, h1 = train(ds, config)
+        m2, h2 = train(ds, config)
+        assert h1 == h2
+        for name in m1.params.names():
+            assert m1.params[name].tobytes() == m2.params[name].tobytes()
 
 
 class TestServingPath:
