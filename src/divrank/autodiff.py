@@ -32,7 +32,14 @@ def _as_array(values):
 
 
 class Tape:
-    """Ordered record of forward ops; parents always precede children."""
+    """Ordered record of forward ops; parents always precede children.
+
+    The graph holds no reference cycle: backward closures keep operand
+    arrays and needs-grad flags, never Tensors, and backward() drops the
+    leaf list once it has written the grads. A step's saved arrays are
+    therefore freed by reference counting as soon as its tape and tensors
+    go out of scope, without waiting for the cyclic collector.
+    """
 
     def __init__(self):
         self._parents = []   # per node: tuple of parent node ids
@@ -86,6 +93,8 @@ class Tape:
         for nid, t in self._leaves:
             g = grads[nid]
             t.grad = np.zeros_like(t.data) if g is None else g
+        # each leaf points back at this tape: break that cycle
+        self._leaves = []
 
 
 class Tensor:
@@ -155,10 +164,12 @@ def add(a, b):
     a, b = _coerce(a), _coerce(b)
     tape = _tape_of(a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    need_a, need_b = a.node is not None, b.node is not None
 
     def back(g):
-        return (_unbroadcast(g, a.data.shape) if a.node is not None else None,
-                _unbroadcast(g, b.data.shape) if b.node is not None else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return _record(tape, out, (a, b), back)
 
@@ -167,10 +178,12 @@ def sub(a, b):
     a, b = _coerce(a), _coerce(b)
     tape = _tape_of(a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    need_a, need_b = a.node is not None, b.node is not None
 
     def back(g):
-        return (_unbroadcast(g, a.data.shape) if a.node is not None else None,
-                _unbroadcast(-g, b.data.shape) if b.node is not None else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(-g, b_shape) if need_b else None)
 
     return _record(tape, out, (a, b), back)
 
@@ -180,10 +193,11 @@ def mul(a, b):
     tape = _tape_of(a, b)
     out = a.data * b.data
     ad, bd = a.data, b.data
+    need_a, need_b = a.node is not None, b.node is not None
 
     def back(g):
-        return (_unbroadcast(g * bd, ad.shape) if a.node is not None else None,
-                _unbroadcast(g * ad, bd.shape) if b.node is not None else None)
+        return (_unbroadcast(g * bd, ad.shape) if need_a else None,
+                _unbroadcast(g * ad, bd.shape) if need_b else None)
 
     return _record(tape, out, (a, b), back)
 
@@ -208,10 +222,11 @@ def matmul(a, b):
             f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
     tape = _tape_of(a, b)
     ad, bd = a.data, b.data
+    need_a, need_b = a.node is not None, b.node is not None
 
     def back(g):
-        return (g @ bd.T if a.node is not None else None,
-                ad.T @ g if b.node is not None else None)
+        return (g @ bd.T if need_a else None,
+                ad.T @ g if need_b else None)
 
     return _record(tape, ad @ bd, (a, b), back)
 
@@ -240,10 +255,11 @@ def segment_matmul(a, b, a_offsets, b_offsets, transpose_b=False):
         out = np.empty((ad.shape[0], bd.shape[1]))
         for ra, rb, m in blocks:
             out[ra] = ad[ra, :m] @ bd[rb]
+    need_a, need_b = a.node is not None, b.node is not None
 
     def back(g):
-        ga = np.zeros_like(ad) if a.node is not None else None
-        gb = np.zeros_like(bd) if b.node is not None else None
+        ga = np.zeros_like(ad) if need_a else None
+        gb = np.zeros_like(bd) if need_b else None
         for ra, rb, m in blocks:
             if transpose_b:
                 gr = g[ra, :m]
@@ -338,11 +354,11 @@ def concat(tensors, axis=-1):
     out = np.concatenate(datas, axis=axis)
     sizes = [d.shape[axis] for d in datas]
     splits = np.cumsum(sizes)[:-1]
+    needs = [t.node is not None for t in tensors]
 
     def back(g):
         parts = np.split(g, splits, axis=axis)
-        return tuple(p if t.node is not None else None
-                     for p, t in zip(parts, tensors))
+        return tuple(p if need else None for p, need in zip(parts, needs))
 
     return _record(tape, out, tensors, back)
 

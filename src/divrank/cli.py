@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 from datetime import datetime, timezone
 
@@ -142,7 +143,10 @@ def cmd_train(args):
         "train", vars(args), inputs=[args.data], outputs=[args.out],
         config=config.to_dict(), started=started,
         extra={"epochs_run": len(history),
-               "final": history[-1] if history else None})
+               "final": history[-1] if history else None,
+               # ru_maxrss is in KiB on Linux
+               "peak_rss_mb": resource.getrusage(
+                   resource.RUSAGE_SELF).ru_maxrss / 1024.0})
     _atomic_json(os.path.join(args.out, "run_manifest.json"), manifest)
     print(f"checkpoint written to {args.out} ({len(history)} epochs)")
     return 0

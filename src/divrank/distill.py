@@ -331,14 +331,10 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
 
 
 def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                 config: TrainConfig, rng=None, training=False, pool=None):
-    """Joint loss of one request: batch_loss over a batch of one.
-
-    The pool defaults to context_pool(n, config, 0), as
-    win_probabilities_detached draws it for pool_seed 0.
-    """
-    if pool is None:
-        pool = context_pool(len(item_idx), config, 0)
+                 config: TrainConfig, pool, rng=None, training=False):
+    """Joint loss of one request over its context pool (candidate
+    positions, as context_pool returns them): batch_loss over a batch of
+    one."""
     return batch_loss(P, [(u_idx, item_idx, cat_idx, labels, pool)],
                       [y_tea], config, rng=rng, training=training)
 

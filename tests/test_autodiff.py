@@ -2,6 +2,9 @@
 oracle, plus tape lifecycle and error behaviour.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -311,6 +314,32 @@ class TestTapeLifecycle:
         y = tape.leaf(np.ones(2))
         tape.backward(ad.tsum(x))
         np.testing.assert_allclose(y.grad, np.zeros(2))
+
+    def test_step_graph_freed_without_collector(self):
+        # the graph holds no reference cycle: with the cyclic collector
+        # off, dropping a step's tape and tensors frees what its ops saved
+        params = ParamStore()
+        params.add("w", RNG.standard_normal((4, 3)))
+        params.add("b", RNG.standard_normal(3))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tape = Tape()
+            P = params.leaves(tape)
+            x = Tensor(RNG.standard_normal((5, 4)))
+            h = ad.add(ad.matmul(x, P["w"]), P["b"])
+            z = ad.concat([ad.mul(h, h), ad.sub(h, P["b"])], axis=1)
+            loss = ad.tsum(ad.segment_matmul(z, z, [0, 2, 5], [0, 2, 5],
+                                             transpose_b=True))
+            tape.backward(loss)
+            params.sgd_step(P, 0.1)
+            # the old weights (saved by matmul) and h (saved by mul)
+            saved = [weakref.ref(P["w"].data), weakref.ref(h.data)]
+            del tape, P, x, h, z, loss
+            assert [ref() for ref in saved] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestParamStore:

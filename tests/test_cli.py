@@ -77,6 +77,7 @@ class TestTrain:
         manifest = json.loads((ckpt / "run_manifest.json").read_text())
         assert manifest["config"]["d"] == 8
         assert manifest["inputs"][0]["sha256"]
+        assert manifest["peak_rss_mb"] > 0
 
     def test_flag_overrides_config_file(self, workspace, tmp_path):
         _, data_path, _ = workspace

@@ -3,6 +3,7 @@ serving-path agreement and checkpoint persistence.
 """
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -39,8 +40,10 @@ def total_loss(model, request):
     K = config.K_teacher or math.ceil(0.2 * len(item_idx))
     y_tea = teach.mmr_select(request, model, config.lam, K).y_tea
     P = {name: Tensor(arr) for name, arr in model.params.items()}
+    pool = distill.context_pool(len(item_idx), config, 0)
     return distill.request_loss(P, model.user_index(request.user_id),
-                                item_idx, cat_idx, labels, y_tea, config)
+                                item_idx, cat_idx, labels, y_tea, config,
+                                pool)
 
 
 class TestModelVocab:
@@ -95,7 +98,9 @@ class TestLosses:
         y_tea = teach.mmr_select(req, model, model.config.lam, 5).y_tea
         total, _ = distill.request_loss(
             P, model.user_index(req.user_id), item_idx, cat_idx, labels,
-            y_tea, model.config, rng=np.random.default_rng(0), training=True)
+            y_tea, model.config,
+            distill.context_pool(len(item_idx), model.config, 0),
+            rng=np.random.default_rng(0), training=True)
         tape.backward(total)
         for name in distill.ALL_PARAM_NAMES:
             assert np.abs(P[name].grad).max() > 0.0, name
@@ -342,7 +347,9 @@ class TestServingPath:
             P = {n: Tensor(v) for n, v in model.params.items()}
             _, comps = distill.request_loss(
                 P, model.user_index(req.user_id), item_idx, cat_idx,
-                labels, y_tea, model.config, rng=None, training=False)
+                labels, y_tea, model.config,
+                distill.context_pool(len(item_idx), model.config, 0),
+                rng=None, training=False)
             fast = model.win_probabilities(req)
             np.testing.assert_allclose(fast, expit(comps["z_stu"].data),
                                        atol=1e-9)
@@ -406,6 +413,26 @@ class TestTraining:
         assert h1 == h2
         for name in m1.params.names():
             np.testing.assert_array_equal(m1.params[name], m2.params[name])
+
+    def test_leaves_no_unreachable_graph(self, small_dataset, small_config):
+        # every step's graph is freed by reference counting, so with the
+        # cyclic collector off no Tape or Tensor is left for it to find
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        start = len(gc.garbage)
+        try:
+            train(small_dataset, small_config)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage[start:]
+                      if isinstance(o, (ad.Tape, ad.Tensor))]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[start:]
+            if enabled:
+                gc.enable()
+        assert leaked == []
 
     def test_warmup_improves_accuracy_loss(self, small_dataset):
         cfg = TrainConfig(d=8, k=3, K_teacher=5, warm_epochs=4,

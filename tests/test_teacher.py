@@ -7,7 +7,9 @@ import pytest
 from scipy.special import expit
 
 from divrank import teacher
-from divrank.teacher import brute_force_core, mmr_core, mmr_greedy
+from divrank.teacher import mmr_core, mmr_greedy
+
+from brute_force import brute_force_core
 
 RNG = np.random.default_rng(42)
 
