@@ -78,11 +78,6 @@ class CDMModel:
             raise VocabError(f"unknown user id: {user_id!r}")
         return self._user_row[user_id]
 
-    def item_index(self, item_id: str) -> int:
-        if item_id not in self._item_row:
-            raise VocabError(f"unknown item id: {item_id!r}")
-        return self._item_row[item_id]
-
     def request_arrays(self, request):
         """(item rows, category rows, labels) of a request's candidates."""
         ids = request.item_ids
@@ -141,47 +136,71 @@ def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
     E = params["item_emb"][item_idx]
     pool = context_pool(n, config, pool_seed)
+    E_pool = E[pool]
     q = E @ params["cce_w1"]
-    keys = E[pool] @ params["cce_w2"]
-    values = E[pool] @ params["cce_w3"]
-    w = (q / math.sqrt(d)) @ keys.T
-    # one full sort yields both ends; grab k+1 per side and drop each
-    # target's own column afterwards instead of masking two copies of w
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[pool] = np.arange(len(pool))
-    order = np.argsort(w, axis=1)
-    pos = _drop_self(order[:, :-(k + 2):-1], col_of, k)
-    neg = _drop_self(order[:, :k + 1], col_of, k)
-    # zero-noise pooling weights reduce to softmax of the raw scores for
-    # both the positive and the anti-attention side
-    w_pos = np.take_along_axis(w, pos, axis=1)
-    w_neg = np.take_along_axis(w, neg, axis=1)
-    a_pos = _softmax_rows(w_pos)
-    a_neg = _softmax_rows(w_neg)
-    c_pos = np.einsum("nk,nkd->nd", a_pos, values[pos])
-    c_neg = np.einsum("nk,nkd->nd", a_neg, values[neg])
-    u_vec = params["user_emb"][u_idx]
-    x = np.empty((n, 2 * d))
-    np.multiply(u_vec, c_pos, out=x[:, :d])
-    np.multiply(u_vec, c_neg, out=x[:, d:])
-    h = np.maximum(x @ params["ffn_w1"] + params["ffn_b1"], 0.0)
-    c = h @ params["ffn_w2"] + params["ffn_b2"]
-    return expit((q * c).sum(axis=1))
+    w = (q / math.sqrt(d)) @ (E_pool @ params["cce_w2"]).T
+    a = _context_weights(w, pool, k)
+    # pooling is one gemm per side against the pool's value rows, with the
+    # user gate folded into those rows, written into the FFN input's halves
+    uv = (E_pool @ params["cce_w3"]) * params["user_emb"][u_idx]
+    x = np.empty((n, 2, d))
+    np.matmul(a, uv, out=x.transpose(1, 0, 2))
+    h = x.reshape(n, 2 * d) @ params["ffn_w1"]
+    h += params["ffn_b1"]
+    np.maximum(h, 0.0, out=h)
+    c = h @ params["ffn_w2"]
+    c += params["ffn_b2"]
+    return expit(np.einsum("ij,ij->i", q, c))
 
 
-def _drop_self(cand, self_col, k):
-    """First k columns of the ordered (n, k+1) candidate matrix after
-    removing each row's own column id (present at most once)."""
-    keep = cand != self_col[:, None]
-    # rows where all k+1 survive: drop the trailing extra instead
-    keep[:, -1] &= keep[:, :-1].sum(axis=1) < k
-    return cand[keep].reshape(len(cand), k)
+def _context_weights(w, pool, k):
+    """Zero-noise pooling weights of the (n, m) attention scores w over a
+    context pool of m candidates, where target pool[j] is column j.
 
+    Returns a (2, n, m) array: [0] holds each row's softmax over its k
+    highest scores (positive side), [1] over its k lowest (negative
+    side), each shifted by its own largest pick. A row never picks its
+    own column, and every other entry is 0. Overwrites the own scores in w
+    with +inf.
 
-def _softmax_rows(x):
-    """Row softmax, each row shifted by its own max so no row underflows."""
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    Picks are read off one sort of the score values: everything at or
+    beyond the k-th value from each end. Where equal scores straddle a
+    threshold (duplicated items give equal keys), the row keeps its scores
+    strictly beyond the threshold plus the lowest columns tied at it, k in
+    all.
+    """
+    n, m = w.shape
+    cols = np.arange(m)
+    # an own score of +inf sorts last, so a pool row's highest other
+    # scores sit one place further in
+    w[pool, cols] = np.inf
+    # top, k-th largest and k-th smallest score of each row
+    ranks = np.array([m - 1, m - k, k - 1])
+    s = np.sort(w, axis=1)
+    lim = s[:, ranks].T
+    lim[:, pool] = s[pool[:, None], ranks - [1, 1, 0]].T
+    top, thr_pos, thr_neg = lim
+    picks = np.empty((2, n, m), dtype=bool)
+    np.greater_equal(w, thr_pos[:, None], out=picks[0])
+    picks[0, pool, cols] = False
+    np.less_equal(w, thr_neg[:, None], out=picks[1])
+    # a row holds more than k picks only where scores tie at a threshold
+    if np.count_nonzero(picks) > 2 * n * k:
+        for side, thr in ((picks[0], thr_pos), (picks[1], thr_neg)):
+            tied = np.flatnonzero(np.count_nonzero(side, axis=1) > k)
+            sel = side[tied]
+            at = sel & (w[tied] == thr[tied, None])
+            short = k - np.count_nonzero(sel & ~at, axis=1)
+            side[tied] = sel & (~at | (np.cumsum(at, axis=1)
+                                       <= short[:, None]))
+    # every pick lies at or below its side's shift; clamping the rest at 0
+    # keeps exp finite before the mask zeroes them
+    a = np.subtract(w, lim[[0, 2], :, None])
+    np.minimum(a, 0.0, out=a)
+    np.exp(a, out=a)
+    a *= picks
+    a *= 1.0 / (a.reshape(2 * n, m) @ np.ones(m)).reshape(2, n, 1)
+    return a
 
 
 # ---------------------------------------------------------------------------

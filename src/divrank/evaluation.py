@@ -290,6 +290,15 @@ def _median_time(fn, repeats: int, warmup: int = 1) -> float:
     return float(np.median(times))
 
 
+CROSSOVER_LADDER = (25, 50, 100, 200, 400)
+
+
+def crossover_k(Ks, greedy_time, student_time):
+    """Smallest K of Ks (ascending) at which greedy_time(K) >=
+    student_time(K), or None; stops timing at the first such K."""
+    return next((K for K in Ks if greedy_time(K) >= student_time(K)), None)
+
+
 def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
                   repeats: int = 5, seed: int = 0) -> dict:
     """Median wall-clock of one teacher pass vs one student pass over a
@@ -301,7 +310,9 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
     incremental greedy (mmr_greedy, the strongest honest baseline). The
     candidate pool is drawn (with replacement if needed) from the model's
     catalog so both paths see identical inputs; distinct_items says how
-    many different items it holds.
+    many different items it holds. crossover_K is the smallest K of
+    CROSSOVER_LADDER (capped at N) at which mmr_greedy takes at least as
+    long as the student pass at that K, or None.
     """
     rng = np.random.default_rng(seed)
     n_items = len(model.item_ids)
@@ -322,12 +333,18 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
     incremental_time = _median_time(
         lambda: teach.mmr_greedy(acc, ew, cfg.lam, K), repeats)
 
-    def student_pass():
+    def student_pass(K):
         y = distill.win_probabilities_detached(model.params, u_idx, item_idx,
                                                cfg, pool_seed=seed)
         return top_k_fused(acc + cfg.gamma * y, K)
 
-    student_time = _median_time(student_pass, repeats)
+    student_time = _median_time(lambda: student_pass(K), repeats)
+
+    crossover = crossover_k(
+        sorted({min(K_i, N) for K_i in CROSSOVER_LADDER}),
+        lambda K_i: _median_time(
+            lambda: teach.mmr_greedy(acc, ew, cfg.lam, K_i), repeats),
+        lambda K_i: _median_time(lambda: student_pass(K_i), repeats))
 
     # similarity-evaluation scaling: K doubling at fixed N
     counters_k = {}
@@ -350,6 +367,7 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
         "speedup": teacher_time / student_time,
         "incremental_teacher_median_s": incremental_time,
         "speedup_vs_incremental": incremental_time / student_time,
+        "crossover_K": crossover,
         "distinct_items": len(np.unique(item_idx)),
         "sim_evals_K": counters_k["sim_evals"],
         "sim_evals_2K": counters_2k["sim_evals"],

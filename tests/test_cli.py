@@ -176,6 +176,7 @@ class TestBench:
         payload = json.loads(out.read_text())
         assert payload["N"] == 200
         assert payload["speedup"] > 0
+        assert payload["crossover_K"] in (None, 25, 50, 100, 200)
 
 
 class TestThreadPinning:

@@ -25,6 +25,7 @@ from divrank.distill import (CheckpointError, TrainingDiverged,
                              win_probabilities_detached)
 
 import loop_oracle
+import serving_oracle
 from gradcheck import grad_check
 
 
@@ -51,8 +52,6 @@ class TestModelVocab:
         model, _ = small_model_and_data
         with pytest.raises(VocabError):
             model.user_index("nobody")
-        with pytest.raises(VocabError):
-            model.item_index("i999999")
 
     def test_request_arrays_match_dataset(self, small_model_and_data):
         model, ds = small_model_and_data
@@ -354,9 +353,44 @@ class TestServingPath:
             np.testing.assert_allclose(fast, expit(comps["z_stu"].data),
                                        atol=1e-9)
 
+    @pytest.mark.parametrize("cap", [32, 10])
+    def test_matches_gather_oracle_on_ragged_requests(self, trained_small,
+                                                      cap):
+        # cap 32: every request fits its pool (n <= cap); cap 10: the
+        # larger requests attend over a subsample. Items repeat, so pools
+        # hold duplicated items and tied scores.
+        model, _, _ = trained_small
+        config = dataclasses.replace(model.config,
+                                     max_context_pool=cap).validate()
+        rng = np.random.default_rng(cap)
+        for n in (2 * config.k + 1, 9, 16, 25, 32, 33, 57, 120):
+            item_idx = rng.integers(0, len(model.item_ids), size=n)
+            u_idx = int(rng.integers(len(model.user_ids)))
+            got = win_probabilities_detached(model.params, u_idx, item_idx,
+                                             config, pool_seed=n)
+            want = serving_oracle.win_probabilities(
+                model.params, u_idx, item_idx, config, pool_seed=n)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_fused_rank_lists_match_gather_oracle(self, trained_small):
+        from divrank.evaluation import fused_rank, top_k_fused
+        model, _, ds = trained_small
+        for req in ds.requests:
+            item_idx, cat_idx, _ = model.request_arrays(req)
+            u_idx = model.user_index(req.user_id)
+            y = serving_oracle.win_probabilities(
+                model.params, u_idx, item_idx, model.config,
+                pool_seed=distill.request_pool_seed(model.config.seed,
+                                                    req.request_id))
+            want = top_k_fused(
+                model.acc_scores(u_idx, item_idx, cat_idx) + 0.3 * y, 10)
+            ranked = fused_rank(model, req, K=10, gamma=0.3)
+            assert ranked.item_idx.tolist() == want.tolist()
+
     def test_softmax_rows_shift_each_row(self):
         # one scalar shift of 900 would give exp(-899) = 0 in the second row
-        out = distill._softmax_rows(np.array([[900.0, 899.0], [1.0, 0.5]]))
+        out = serving_oracle.softmax_rows(
+            np.array([[900.0, 899.0], [1.0, 0.5]]))
         p = expit(1.0)
         p_half = expit(0.5)
         np.testing.assert_allclose(out, [[p, 1 - p], [p_half, 1 - p_half]],
@@ -394,6 +428,60 @@ class TestServingPath:
             win_probabilities_detached(model.params, 0,
                                        np.zeros(2 * k, dtype=np.int64),
                                        model.config)
+
+
+class TestContextWeights:
+    """distill._context_weights: threshold picks off one value sort."""
+
+    @staticmethod
+    def reference_picks(w, pool, k):
+        """Per row, the k highest and k lowest columns other than its own
+        (target pool[j] owns column j), ties to the lowest column."""
+        own = {int(r): j for j, r in enumerate(pool)}
+        pos, neg = [], []
+        for i, row in enumerate(w):
+            cols = [j for j in range(len(row)) if own.get(i) != j]
+            pos.append(sorted(cols, key=lambda j: (-row[j], j))[:k])
+            neg.append(sorted(cols, key=lambda j: (row[j], j))[:k])
+        return pos, neg
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_picks_follow_the_tie_rule(self, n):
+        # integer scores in a narrow range: most thresholds are ties
+        m, k = 7, 3
+        pool = np.arange(m) if n == m else np.array([0, 2, 3, 5, 8, 9, 11])
+        for trial in range(50):
+            w = np.random.default_rng(trial).integers(0, 4, (n, m)) * 0.5
+            a = distill._context_weights(w.copy(), pool, k)
+            for side, want in zip(a, self.reference_picks(w, pool, k)):
+                got = [np.flatnonzero(row).tolist() for row in side]
+                assert got == [sorted(cols) for cols in want]
+                for i, cols in enumerate(want):
+                    e = np.exp(w[i, cols] - w[i, cols].max())
+                    np.testing.assert_allclose(side[i, cols], e / e.sum(),
+                                               rtol=1e-12)
+
+    def test_pool_of_duplicated_items(self, trained_small):
+        model, _, _ = trained_small
+        k = model.config.k
+        # each item twice: every score has an equal twin in another column
+        item_idx = np.repeat(np.arange(10), 2)
+        n = len(item_idx)
+        E = model.params["item_emb"][item_idx]
+        q = E @ model.params["cce_w1"]
+        w = (q / math.sqrt(model.config.d)) @ (E @ model.params["cce_w2"]).T
+        pool = np.arange(n)
+        a = distill._context_weights(w.copy(), pool, k)
+        for side, want in zip(a, self.reference_picks(w, pool, k)):
+            assert np.all(np.count_nonzero(side, axis=1) == k)
+            assert np.all(side[pool, pool] == 0.0)
+            np.testing.assert_allclose(side.sum(axis=1), 1.0, rtol=1e-12)
+            assert [np.flatnonzero(row).tolist() for row in side] == \
+                [sorted(cols) for cols in want]
+        probs = win_probabilities_detached(model.params, 0, item_idx,
+                                           model.config)
+        assert np.all(np.isfinite(probs))
+        assert np.all((probs > 0.0) & (probs < 1.0))
 
 
 class TestTraining:

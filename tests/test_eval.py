@@ -201,3 +201,26 @@ class TestLatencyBench:
         assert 1 <= out["distinct_items"] <= min(300, len(model.item_ids))
         assert out["heap_comparison_ratio"] == pytest.approx(2.0, rel=0.25)
         assert out["environment"]["numpy"]
+        assert out["crossover_K"] in (None, 25, 50, 100, 200, 300)
+
+    def test_crossover_k_is_first_ladder_k_where_greedy_catches_up(self):
+        timed = []
+
+        def greedy(K):
+            timed.append(K)
+            return K * 1e-4
+
+        assert ev.crossover_k([25, 50, 100, 200], greedy,
+                              lambda K: 0.01) == 100
+        assert timed == [25, 50, 100]     # stops at the first crossing
+        assert ev.crossover_k([25, 50], greedy, lambda K: 1.0) is None
+        assert ev.crossover_k([25, 50], greedy, lambda K: 0.0025) == 25
+
+    def test_crossover_ladder_capped_at_n(self, trained_small, monkeypatch):
+        model, _, _ = trained_small
+        seen = []
+        real = ev.crossover_k
+        monkeypatch.setattr(ev, "crossover_k",
+                            lambda Ks, g, s: seen.append(Ks) or real(Ks, g, s))
+        latency_bench(model, N=150, K=10, repeats=1)
+        assert seen == [[25, 50, 100, 150]]

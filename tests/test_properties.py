@@ -60,7 +60,7 @@ def reference_arrays(model, request):
     cat_idx = np.empty(n, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
     for j, cand in enumerate(request.candidates):
-        item_idx[j] = model.item_index(cand.item_id)
+        item_idx[j] = model._item_row[cand.item_id]
         cat_idx[j] = model._cat_row[model.item_category[cand.item_id]]
         if cand.label is not None:
             labels[j] = cand.label
