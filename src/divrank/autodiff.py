@@ -374,30 +374,36 @@ def reshape(a, shape):
 # softmax family
 
 
-def softmax(a, axis=-1):
-    """Softmax with max-subtraction; rows sum to 1."""
+def softmax(a, keep=None):
+    """Softmax over the last axis with max-subtraction; rows sum to 1.
+
+    With a boolean keep mask of a's shape, each row is the softmax over
+    its kept entries only, shifted by its largest kept entry, and the
+    dropped entries get weight 0; every row must keep at least one entry.
+    Dropped entries may lie anywhere, far above the kept ones included.
+    """
     a = _coerce(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    top = a.data if keep is None else np.where(keep, a.data, -np.inf)
+    out = a.data - top.max(axis=-1, keepdims=True)
+    if keep is not None:
+        # only dropped entries lie above the shift: clamping them at 0
+        # keeps exp finite before keep zeroes them
+        np.minimum(out, 0.0, out=out)
+    np.exp(out, out=out)
+    if keep is not None:
+        out *= keep
+    # a matrix-vector product sums short rows faster than sum(axis=-1)
+    ones = np.ones(out.shape[-1])
+    out *= 1.0 / (out @ ones)[..., None]
 
     def back(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
+        return ((g - ((g * out) @ ones)[..., None]) * out,)
 
     return _record(a.tape, out, (a,), back)
 
 
 # ---------------------------------------------------------------------------
-# gathers (embedding lookups and per-row index selection)
-
-
-def _scatter_add(flat_idx, g, shape):
-    """Zeros of `shape` with g summed in at flat positions; repeated
-    positions accumulate in order, as np.add.at would, in one bincount."""
-    size = shape[0] * shape[1]
-    return np.bincount(flat_idx.ravel(), weights=g.ravel(),
-                       minlength=size).reshape(shape)
+# gathers (embedding lookups)
 
 
 def gather_rows(table, idx):
@@ -409,36 +415,14 @@ def gather_rows(table, idx):
     shape = table.data.shape
 
     def back(g):
+        # repeated rows accumulate in order, as np.add.at would, in one
+        # bincount over flat positions
         cols = shape[1]
         flat = idx.reshape(-1, 1) * cols + np.arange(cols)
-        return (_scatter_add(flat, g, shape),)
+        return (np.bincount(flat.ravel(), weights=g.ravel(),
+                            minlength=shape[0] * cols).reshape(shape),)
 
     return _record(table.tape, out, (table,), back)
-
-
-def take_per_row(a, idx):
-    """a: (N, S); idx: (N, k) -> (N, k), gathering along axis 1."""
-    a = _coerce(a)
-    idx = np.asarray(idx)
-    out = np.take_along_axis(a.data, idx, axis=1)
-    shape = a.data.shape
-
-    def back(g):
-        flat = np.arange(shape[0])[:, None] * shape[1] + idx
-        return (_scatter_add(flat, g, shape),)
-
-    return _record(a.tape, out, (a,), back)
-
-
-def put_per_row(a, idx, width):
-    """a: (N, k); idx: (N, k) distinct columns per row -> (N, width) zeros
-    with row i's entries a[i] at columns idx[i] (inverse of take_per_row)."""
-    a = _coerce(a)
-    idx = np.asarray(idx)
-    out = np.zeros((a.data.shape[0], width))
-    np.put_along_axis(out, idx, a.data, axis=1)
-    return _record(a.tape, out, (a,),
-                   lambda g: (np.take_along_axis(g, idx, axis=1),))
 
 
 def add_constant(a, c):

@@ -1,20 +1,19 @@
 """Contrastive context encoder: target attention over the context pool,
-positive/negative context sampling, anti-attention pooling, InfoNCE
-separation and user interest-aware fusion.
+positive/negative context sampling into dense pooling weights (attention
+and anti-attention), InfoNCE separation and user interest-aware fusion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .sampler import hard_topk, perturb
+from .sampler import perturb
 
-MASK_VALUE = -1e30  # additive mask; drives softmax weight to exactly 0
+MASK_VALUE = -1e30  # additive mask; keeps a column out of every top-k pick
 
 CCE_PARAM_NAMES = ("cce_w1", "cce_w2", "cce_w3",
                    "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
@@ -30,14 +29,6 @@ def init_cce(params: ParamStore, d: int, rng):
     lim2 = math.sqrt(6.0 / (3 * d))
     params.add("ffn_w2", rng.uniform(-lim2, lim2, size=(2 * d, d)))
     params.add("ffn_b2", np.zeros(d))
-
-
-@dataclass
-class ContextSample:
-    pos_idx: np.ndarray   # (N, k) context-pool columns
-    w_pos: Tensor         # perturbed weights gathered at pos_idx
-    neg_idx: np.ndarray
-    w_neg: Tensor
 
 
 def _offsets(n_rows, n_pool, segments):
@@ -66,59 +57,39 @@ def attention_scores_all(P, q: Tensor, E_pool: Tensor,
                                       transpose_b=True), 1.0 / math.sqrt(d))
 
 
-def sample_contexts(w: Tensor, mask, k: int, rng=None) -> ContextSample:
+def sample_contexts(w: Tensor, mask, k: int,
+                    rng=None) -> tuple[Tensor, Tensor]:
     """Gumbel-Top-k draws of a positive set (high attention) and a negative
-    set (negated attention), with independent noise per side.
+    set (negated attention), with independent noise per side, returned as
+    (positive, negative) dense (N, |pool|) pooling weights.
 
     w holds the (N, |pool|) raw scores of the targets against their
     context pool. The additive mask (MASK_VALUE at each target's own
-    column and at any padding column, 0 elsewhere) is applied after
-    negation too, so a target can never enter its own context. Draws may
-    overlap; they are not forced disjoint.
+    column and at any padding column, 0 elsewhere) enters only the
+    selection, after negation too, so a target can never enter its own
+    context. Each side picks the k largest of its perturbed scores
+    x = +-w + g. Its row of weights is the softmax over those picks of x
+    on the positive side and of -x = w - g (anti-attention) on the
+    negative side, and 0 at every other column. Draws may overlap; they
+    are not forced disjoint. Scores tied at a side's k-th largest value
+    are all picked; with noise on, ties have probability 0.
 
-    The noise goes onto the masked scores directly rather than onto their
+    The noise goes onto the scores directly rather than onto their
     log-softmax: the two differ by a per-row constant, which changes
-    neither the top-k indices nor the softmax pooling over the gathered
-    weights.
+    neither the picks nor the softmax over them.
     """
     n = w.data.shape[-1]
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
-    masked = ad.add_constant(w, mask)
-    neg_masked = ad.add_constant(ad.neg(w), mask)
-    w_pos = perturb(masked, rng)
-    w_neg = perturb(neg_masked, rng)
-    pos_idx = hard_topk(w_pos.data, k)
-    neg_idx = hard_topk(w_neg.data, k)
-    return ContextSample(pos_idx=pos_idx,
-                         w_pos=ad.take_per_row(w_pos, pos_idx),
-                         neg_idx=neg_idx,
-                         w_neg=ad.take_per_row(w_neg, neg_idx))
+    x_pos = perturb(w, rng)
+    x_neg = perturb(ad.neg(w), rng)
+    return (ad.softmax(x_pos, keep=_top_k(x_pos.data + mask, k)),
+            ad.softmax(ad.neg(x_neg), keep=_top_k(x_neg.data + mask, k)))
 
 
-def _pool(weights: Tensor, idx, values: Tensor, segments) -> Tensor:
-    """Each target's weights over its k sampled pool columns idx applied
-    to its request's pool value rows."""
-    row_off, pool_off = _offsets(weights.data.shape[0], values.data.shape[0],
-                                 segments)
-    dense = ad.put_per_row(weights, idx, int(np.diff(pool_off).max()))
-    return ad.segment_matmul(dense, values, row_off, pool_off)
-
-
-def positive_context(w_tilde: Tensor, idx, values: Tensor,
-                     segments=None) -> Tensor:
-    """softmax-weighted pooling of the sampled value rows (target attention).
-
-    w_tilde: (N, k) perturbed scores at the pool columns idx; values: the
-    pool's value rows, laid out by segments as in attention_scores_all.
-    """
-    return _pool(ad.softmax(w_tilde), idx, values, segments)
-
-
-def negative_context(w_tilde: Tensor, idx, values: Tensor,
-                     segments=None) -> Tensor:
-    """Anti-attention: weights from the negated perturbed scores."""
-    return _pool(ad.softmax(ad.neg(w_tilde)), idx, values, segments)
+def _top_k(x, k):
+    """Boolean mask of each row's entries at or above its k-th largest."""
+    return x >= np.sort(x, axis=-1)[:, [-k]]
 
 
 def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,

@@ -4,8 +4,9 @@ training loop and checkpoint persistence.
 Training is define-by-run: each SGD step records one batched block on one
 tape (batch_loss). The candidates of all the batch's requests are stacked
 as rows; each target attends over its own request's context pool, padded
-to the batch's widest pool and masked. request_loss is the same function
-on a batch of one.
+to the batch's widest pool and masked, and pools its contexts through
+dense (N, |pool|) weights, as serving does. The loss of one request is
+batch_loss over a batch of one.
 """
 
 from __future__ import annotations
@@ -324,12 +325,10 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
                     cce.MASK_VALUE)
     pool_cols = np.arange(len(pool_rows)) - np.repeat(pool_off[:-1], ms)
     mask[pool_rows, pool_cols] = cce.MASK_VALUE
-    sample = cce.sample_contexts(w, mask, config.k, draws)
+    a_pos, a_neg = cce.sample_contexts(w, mask, config.k, draws)
     values = ad.matmul(E_pool, P["cce_w3"])
-    c_pos = cce.positive_context(sample.w_pos, sample.pos_idx, values,
-                                 segments)
-    c_neg = cce.negative_context(sample.w_neg, sample.neg_idx, values,
-                                 segments)
+    c_pos = ad.segment_matmul(a_pos, values, *segments)
+    c_neg = ad.segment_matmul(a_neg, values, *segments)
 
     row_w = 1.0 / (B * np.repeat(ns, ns))
     loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t, row_w)
@@ -347,15 +346,6 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
                    ad.add(ad.scale(loss_kd, config.beta1),
                           ad.scale(loss_nce, config.beta2)))
     return total, components
-
-
-def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                 config: TrainConfig, pool, rng=None, training=False):
-    """Joint loss of one request over its context pool (candidate
-    positions, as context_pool returns them): batch_loss over a batch of
-    one."""
-    return batch_loss(P, [(u_idx, item_idx, cat_idx, labels, pool)],
-                      [y_tea], config, rng=rng, training=training)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Gumbel-Top-k subset sampling: Gumbel noise, perturbed scores and the
-hard top-k indices of the perturbed scores.
+"""Gumbel noise for Gumbel-Top-k subset sampling, and the perturbed
+scores it gives.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DomainError, Tensor
+from .autodiff import Tensor
 
 U_CLAMP = 1e-12
 
@@ -27,12 +27,3 @@ def perturb(log_probs, rng=None) -> Tensor:
     noise = gumbel_noise(rng.random(log_probs.data.shape))
     return ad.add_constant(log_probs, noise)
 
-
-def hard_topk(values: np.ndarray, k: int) -> np.ndarray:
-    """Top-k indices along the last axis, ordered by value descending."""
-    n = values.shape[-1]
-    if k > n:
-        raise DomainError(f"k={k} exceeds n={n}")
-    # one ascending sort read from the end beats argpartition plus a sort
-    # of the k survivors at every pool width up to 200
-    return np.argsort(values, axis=-1)[..., :-k - 1:-1]

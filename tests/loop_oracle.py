@@ -2,9 +2,12 @@
 
 This is the per-request loss and mini-batch step that distill.batch_loss
 replaced, kept as the oracle the batched step is checked against. Each
-request records its own graph, q = E @ cce_w1 is computed twice, the
-sampled value rows are gathered before pooling, and the batch loss is the
-mean of the per-request losses.
+request records its own graph, q = E @ cce_w1 is computed twice, and the
+batch loss is the mean of the per-request losses. Contexts are selected
+the way training did before it pooled through dense weights: an argsort
+of the masked perturbed scores gives each side's k picks, their scores
+are gathered on the tape for a k-wide softmax, and the sampled value rows
+are gathered before pooling.
 """
 
 import math
@@ -15,6 +18,7 @@ from divrank import autodiff as ad
 from divrank import backbone as bb
 from divrank import cce
 from divrank.autodiff import Tensor
+from divrank.sampler import perturb
 
 
 def transpose(a):
@@ -24,6 +28,39 @@ def transpose(a):
         raise ad.ShapeError("transpose expects a 2-D tensor")
     return ad._record(a.tape, np.ascontiguousarray(a.data.T), (a,),
                       lambda g: (g.T,))
+
+
+def hard_topk(values, k):
+    """Top-k indices along the last axis, ordered by value descending."""
+    return np.argsort(values, axis=-1)[..., :-k - 1:-1]
+
+
+def take_per_row(a, idx):
+    """a: (N, S); idx: (N, k) -> (N, k), gathering along axis 1."""
+    a = ad._coerce(a)
+    idx = np.asarray(idx)
+    shape = a.data.shape
+
+    def back(g):
+        grad = np.zeros(shape)
+        np.add.at(grad, (np.arange(shape[0])[:, None], idx), g)
+        return (grad,)
+
+    return ad._record(a.tape, np.take_along_axis(a.data, idx, axis=1), (a,),
+                      back)
+
+
+def sample_contexts(w, mask, k, rng=None):
+    """(pos_idx, w_pos, neg_idx, w_neg): each side's k pool columns and
+    its perturbed scores gathered there. The mask is added before the
+    noise, and the two sides draw their noise in the order
+    cce.sample_contexts does."""
+    w_pos = perturb(ad.add_constant(w, mask), rng)
+    w_neg = perturb(ad.add_constant(ad.neg(w), mask), rng)
+    pos_idx = hard_topk(w_pos.data, k)
+    neg_idx = hard_topk(w_neg.data, k)
+    return (pos_idx, take_per_row(w_pos, pos_idx),
+            neg_idx, take_per_row(w_neg, neg_idx))
 
 
 def _pool(weights, values):
@@ -59,12 +96,11 @@ def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea, config, pool,
                  1.0 / math.sqrt(d))
     mask = np.zeros((n, m))
     mask[pool, np.arange(m)] = cce.MASK_VALUE
-    sample = cce.sample_contexts(w, mask, config.k, noise_rng)
+    pos_idx, w_pos, neg_idx, w_neg = sample_contexts(w, mask, config.k,
+                                                     noise_rng)
     values = ad.matmul(E_pool, P["cce_w3"])
-    v_pos = ad.gather_rows(values, sample.pos_idx)
-    v_neg = ad.gather_rows(values, sample.neg_idx)
-    c_pos = _pool(ad.softmax(sample.w_pos), v_pos)
-    c_neg = _pool(ad.softmax(ad.neg(sample.w_neg)), v_neg)
+    c_pos = _pool(ad.softmax(w_pos), ad.gather_rows(values, pos_idx))
+    c_neg = _pool(ad.softmax(ad.neg(w_neg)), ad.gather_rows(values, neg_idx))
 
     q = ad.matmul(E, P["cce_w1"])
     loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t)

@@ -154,10 +154,10 @@ class TestJointLossGradient:
             def f(leaf, _name=name):
                 P = {n: Tensor(v) for n, v in model.params.items()}
                 P[_name] = leaf
-                total, _ = distill.request_loss(
-                    P, u_idx, item_idx, cat_idx, labels, y_tea, cfg,
-                    distill.context_pool(len(item_idx), cfg, 0),
-                    rng=None, training=False)
+                total, _ = distill.batch_loss(
+                    P, [(u_idx, item_idx, cat_idx, labels,
+                         distill.context_pool(len(item_idx), cfg, 0))],
+                    [y_tea], cfg)
                 return total
             worst[name] = grad_check(f, model.params[name])
         assert max(worst.values()) < 1e-4, worst

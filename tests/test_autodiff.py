@@ -3,6 +3,7 @@ oracle, plus tape lifecycle and error behaviour.
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -115,15 +116,6 @@ class TestSegmentMatmul:
         check(lambda t: loss(t, b), a)
         check(lambda t: loss(a, t), b)
 
-    def test_put_per_row_inverts_take_per_row(self):
-        idx = np.array([[2, 0], [1, 3]])
-        x = RNG.standard_normal((2, 2))
-        out = ad.put_per_row(Tensor(x), idx, 4).data
-        np.testing.assert_array_equal(np.take_along_axis(out, idx, axis=1), x)
-        assert np.count_nonzero(out) == 4
-        m = RNG.standard_normal((2, 4))
-        check(lambda t: ad.tsum(ad.mul(ad.put_per_row(t, idx, 4), m)), x)
-
 
 class TestElementwise:
     def test_relu(self):
@@ -207,12 +199,35 @@ class TestSoftmaxFamily:
         out = ad.softmax(Tensor(RNG.standard_normal((5, 7))))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5))
 
+    KEEP = np.array([[1, 0, 1, 1, 0, 1],
+                     [0, 1, 0, 0, 0, 0],
+                     [1, 1, 0, 1, 1, 0]], dtype=bool)
+
     @pytest.mark.parametrize("tau", [0.2, 1.0, 3.0])
-    def test_softmax_grad(self, tau):
-        # softmax(x / tau): sharp, unit and flat distributions
-        v = RNG.standard_normal(6)
-        check(lambda t: ad.tsum(ad.mul(ad.softmax(ad.scale(t, 1.0 / tau)), v)),
-              RNG.standard_normal(6), tol=1e-5)
+    @pytest.mark.parametrize("keep", [None, KEEP], ids=["rows", "kept"])
+    def test_softmax_grad(self, tau, keep):
+        # softmax(x / tau): sharp, unit and flat distributions, over whole
+        # rows or over each row's kept entries; row 0's dropped entries
+        # lie 1e30 above its kept ones and must not overflow or warn
+        x = RNG.standard_normal((3, 6))
+        if keep is not None:
+            x[0, ~keep[0]] += 1e30
+        v = RNG.standard_normal((3, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check(lambda t: ad.tsum(ad.mul(
+                ad.softmax(ad.scale(t, 1.0 / tau), keep=keep), v)), x,
+                tol=1e-5)
+
+    def test_softmax_keep_is_softmax_of_kept_entries(self):
+        x = RNG.standard_normal((3, 6))
+        x[0, ~self.KEEP[0]] += 1e30
+        out = ad.softmax(Tensor(x), keep=self.KEEP).data
+        for row, keep, got in zip(x, self.KEEP, out):
+            e = np.exp(row[keep] - row[keep].max())
+            np.testing.assert_allclose(got[keep], e / e.sum(), rtol=0.0,
+                                       atol=1e-15)
+            np.testing.assert_array_equal(got[~keep], 0.0)
 
 
 class TestGathers:
@@ -229,11 +244,6 @@ class TestGathers:
         check(lambda t: ad.tsum(ad.gather_rows(t, idx)),
               RNG.standard_normal((4, 3)))
 
-    def test_take_per_row(self):
-        idx = np.array([[0, 2], [1, 1], [3, 0]])
-        check(lambda t: ad.tsum(ad.take_per_row(t, idx)),
-              RNG.standard_normal((3, 4)))
-
     def test_gather_rows_scatter_matches_add_at(self):
         idx = np.array([[4, 1, 4], [0, 4, 1]])
         weights = RNG.standard_normal(idx.shape + (3,))
@@ -245,18 +255,6 @@ class TestGathers:
         np.testing.assert_array_equal(table.grad, ref)
         check(lambda t: ad.tsum(ad.mul(ad.gather_rows(t, idx), weights)),
               RNG.standard_normal((6, 3)))
-
-    def test_take_per_row_scatter_matches_add_at(self):
-        idx = np.array([[2, 2, 0], [1, 3, 1], [0, 0, 0]])
-        weights = RNG.standard_normal(idx.shape)
-        tape = Tape()
-        a = tape.leaf(RNG.standard_normal((3, 4)))
-        tape.backward(ad.tsum(ad.mul(ad.take_per_row(a, idx), weights)))
-        ref = np.zeros((3, 4))
-        np.add.at(ref, (np.arange(3)[:, None], idx), weights)
-        np.testing.assert_array_equal(a.grad, ref)
-        check(lambda t: ad.tsum(ad.mul(ad.take_per_row(t, idx), weights)),
-              RNG.standard_normal((3, 4)))
 
     def test_add_constant_passes_grad_through(self):
         tape = Tape()
@@ -384,6 +382,8 @@ class TestGradCheckOracle:
             with pytest.raises(DomainError):
                 grad_check(lambda t: ad.tsum(t), np.ones(2), h=h)
 
+    # the forward overflows on purpose
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_forward_detected(self):
         def f(t):
             return ad.tsum(ad.log(exp(ad.scale(t, 1e6))))

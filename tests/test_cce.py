@@ -1,5 +1,6 @@
 """Context encoder: attention scores, self-masking, positive/negative
-sampling, pooling, the two-term InfoNCE and the fusion head.
+sampling into dense pooling weights, the two-term InfoNCE and the fusion
+head.
 """
 
 import math
@@ -11,8 +12,8 @@ from divrank import autodiff as ad
 from divrank import cce
 from divrank.autodiff import DomainError, ParamStore, Tape, Tensor
 from divrank.cce import (attention_scores_all, fuse_context, infonce_loss,
-                         init_cce, negative_context, positive_context,
-                         sample_contexts)
+                         init_cce, sample_contexts)
+from divrank.sampler import gumbel_noise
 
 from gradcheck import grad_check
 
@@ -64,33 +65,65 @@ class TestAttentionScores:
 
 
 class TestSampleContexts:
-    def test_self_never_in_either_context(self):
-        d, n, k = 6, 12, 3
+    def test_k_picks_per_side_never_self_or_padding(self):
+        # two requests of 5 and 9 rows: the first attends over a 4-row
+        # pool padded to the second's 9, the second over all its rows
+        d, k = 6, 2
         _, P = make_P(d)
-        E = RNG.standard_normal((n, d))
-        pool = np.array([0, 2, 3, 5, 7, 8, 10, 11])
+        E = RNG.standard_normal((14, d))
+        pool_rows = np.concatenate([[0, 1, 3, 4], 5 + np.arange(9)])
+        segments = ([0, 5, 14], [0, 4, 13])
         w = attention_scores_all(P, ad.matmul(Tensor(E), P["cce_w1"]),
-                                 Tensor(E[pool]))
+                                 Tensor(E[pool_rows]), segments)
+        mask = np.zeros((14, 9))
+        mask[:5, 4:] = cce.MASK_VALUE
+        mask[pool_rows, np.concatenate([np.arange(4), np.arange(9)])] = \
+            cce.MASK_VALUE
         rng = np.random.default_rng(0)
         for _ in range(30):
-            s = sample_contexts(w, self_mask(n, pool), k, rng)
+            for a in sample_contexts(w, mask, k, rng):
+                assert a.data.shape == (14, 9)
+                np.testing.assert_array_equal(
+                    np.count_nonzero(a.data, axis=1), k)
+                np.testing.assert_array_equal(a.data[mask != 0.0], 0.0)
+                np.testing.assert_allclose(a.data.sum(axis=1), 1.0,
+                                           rtol=0.0, atol=1e-12)
+
+    def test_each_side_is_softmax_over_its_perturbed_picks(self):
+        # positive: softmax(w + g) over the k largest of w + g; negative:
+        # softmax(w - g') over the k largest of -w + g', so it favours
+        # low scores
+        n, k = 7, 3
+        w = RNG.standard_normal((n, n))
+        mask = self_mask(n, np.arange(n))
+        a_pos, a_neg = sample_contexts(Tensor(w), mask, k,
+                                       np.random.default_rng(4))
+        replay = np.random.default_rng(4)
+        for a, x, sign in ((a_pos, w, 1.0), (a_neg, -w, -1.0)):
+            x = x + gumbel_noise(replay.random((n, n)))
             for i in range(n):
-                assert i not in pool[s.pos_idx[i]]
-                assert i not in pool[s.neg_idx[i]]
+                picks = np.argsort(x[i] + mask[i])[-k:]
+                e = np.exp(sign * x[i, picks])
+                want = np.zeros(n)
+                want[picks] = e / e.sum()
+                np.testing.assert_allclose(a.data[i], want, rtol=0.0,
+                                           atol=1e-12)
 
     def test_zero_noise_picks_extremes(self):
         w = Tensor(np.array([[0.0, 3.0, 1.0, -2.0],
                              [5.0, 0.0, -1.0, 2.0]]))
-        s = sample_contexts(w, np.zeros((2, 4)), 1)
-        assert s.pos_idx.tolist() == [[1], [0]]
-        assert s.neg_idx.tolist() == [[3], [2]]
+        a_pos, a_neg = sample_contexts(w, np.zeros((2, 4)), 1)
+        np.testing.assert_array_equal(a_pos.data, [[0, 1, 0, 0],
+                                                   [1, 0, 0, 0]])
+        np.testing.assert_array_equal(a_neg.data, [[0, 0, 0, 1],
+                                                   [0, 0, 1, 0]])
 
     def test_masked_column_never_drawn(self):
         w = Tensor(np.array([[4.0, 1.0, -3.0, 2.0]]))
         mask = np.array([[cce.MASK_VALUE, 0.0, 0.0, 0.0]])  # column 0 = self
-        s = sample_contexts(w, mask, 1)
-        assert s.pos_idx.tolist() == [[3]]
-        assert s.neg_idx.tolist() == [[2]]
+        a_pos, a_neg = sample_contexts(w, mask, 1)
+        np.testing.assert_array_equal(a_pos.data, [[0, 0, 0, 1]])
+        np.testing.assert_array_equal(a_neg.data, [[0, 0, 1, 0]])
 
     def test_pool_too_small_rejected(self):
         _, P = make_P(4)
@@ -99,58 +132,29 @@ class TestSampleContexts:
         with pytest.raises(DomainError):
             sample_contexts(w, self_mask(5, np.arange(5)), 3)
 
+    def test_weights_grad_check(self):
+        mask = self_mask(6, np.arange(6))
+        m = RNG.standard_normal((2, 6, 6))
+
+        def f(leaf):
+            a_pos, a_neg = sample_contexts(leaf, mask, 2,
+                                           np.random.default_rng(3))
+            return ad.add(ad.tsum(ad.mul(a_pos, m[0])),
+                          ad.tsum(ad.mul(a_neg, m[1])))
+
+        assert grad_check(f, RNG.standard_normal((6, 6))) < 1e-6
+
     def test_gradient_flows_to_encoder_weights(self):
         tape = Tape()
         params, P = make_P(6, tape=tape)
         E = Tensor(RNG.standard_normal((10, 6)))
         w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
-        s = sample_contexts(w, self_mask(10, np.arange(10)), 2,
-                            np.random.default_rng(1))
-        tape.backward(ad.add(ad.tsum(s.w_pos), ad.tsum(s.w_neg)))
+        a_pos, a_neg = sample_contexts(w, self_mask(10, np.arange(10)), 2,
+                                       np.random.default_rng(1))
+        m = RNG.standard_normal((10, 10))
+        tape.backward(ad.tsum(ad.mul(ad.add(a_pos, a_neg), m)))
         assert np.abs(P["cce_w1"].grad).max() > 0.0
         assert np.abs(P["cce_w2"].grad).max() > 0.0
-
-
-class TestPooling:
-    def test_positive_context_is_softmax_average(self):
-        w = Tensor(np.array([[1.0, 2.0, 0.5]]))
-        V = RNG.standard_normal((5, 4))
-        idx = np.array([[4, 0, 2]])
-        out = positive_context(w, idx, Tensor(V)).data
-        a = np.exp(w.data[0] - w.data[0].max())
-        a = a / a.sum()
-        np.testing.assert_allclose(out[0], a @ V[idx[0]], atol=1e-12)
-
-    def test_negative_context_prefers_low_scores(self):
-        w = Tensor(np.array([[5.0, -5.0]]))
-        V = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = negative_context(w, np.array([[0, 1]]), Tensor(V)).data
-        assert out[0, 1] > out[0, 0]  # mass on the low-score row
-
-    def test_segments_pool_only_their_own_values(self):
-        w = RNG.standard_normal((3, 2))
-        idx = np.array([[1, 0], [0, 2], [2, 1]])
-        V = RNG.standard_normal((5, 4))  # pools of 2 and 3 value rows
-        out = positive_context(Tensor(w), idx, Tensor(V),
-                               ([0, 1, 3], [0, 2, 5])).data
-        a = np.exp(w) / np.exp(w).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out[0], a[0] @ V[0:2][idx[0]], atol=1e-12)
-        for i in (1, 2):
-            np.testing.assert_allclose(out[i], a[i] @ V[2:5][idx[i]],
-                                       atol=1e-12)
-
-    def test_pooling_grad_check(self):
-        idx = np.array([[0, 3, 1], [4, 2, 0]])
-        V = RNG.standard_normal((5, 4))
-        m = RNG.standard_normal((2, 4))
-
-        def f(leaf):
-            return ad.tsum(ad.mul(positive_context(leaf, idx, Tensor(V)), m))
-
-        assert grad_check(f, RNG.standard_normal((2, 3))) < 1e-6
-        w = Tensor(RNG.standard_normal((2, 3)))
-        assert grad_check(lambda leaf: ad.tsum(ad.mul(
-            negative_context(w, idx, leaf), m)), V) < 1e-6
 
 
 class TestInfoNCE:

@@ -1,13 +1,13 @@
-"""Gumbel-Top-k sampling: noise distribution, perturbation, hard
-selection and draw frequencies.
+"""Gumbel-Top-k sampling: noise distribution, perturbation and draw
+frequencies.
 """
 
 import numpy as np
 import pytest
 
 from divrank import autodiff as ad
-from divrank.autodiff import DomainError, Tape, Tensor
-from divrank.sampler import gumbel_noise, hard_topk, perturb
+from divrank.autodiff import Tape, Tensor
+from divrank.sampler import gumbel_noise, perturb
 
 RNG = np.random.default_rng(99)
 
@@ -40,26 +40,6 @@ class TestPerturb:
         assert np.any(out.data != 0.0)
         tape.backward(ad.tsum(out))
         np.testing.assert_allclose(x.grad, np.ones(5))
-
-
-class TestHardTopk:
-    def test_ordered_by_value(self):
-        v = np.array([0.1, 0.9, 0.5, 0.7])
-        assert hard_topk(v, 3).tolist() == [1, 3, 2]
-
-    def test_k_equals_n(self):
-        v = RNG.standard_normal(6)
-        assert hard_topk(v, 6).tolist() == np.argsort(-v).tolist()
-
-    def test_batched_rows_independent(self):
-        v = RNG.standard_normal((10, 8))
-        idx = hard_topk(v, 3)
-        for r in range(10):
-            assert idx[r].tolist() == np.argsort(-v[r])[:3].tolist()
-
-    def test_k_too_large(self):
-        with pytest.raises(DomainError):
-            hard_topk(np.ones(3), 4)
 
 
 class TestSampleFrequencies:
