@@ -32,6 +32,9 @@ def transpose(a):
 
 def hard_topk(values, k):
     """Top-k indices along the last axis, ordered by value descending."""
+    n = values.shape[-1]
+    if k > n:
+        raise ad.DomainError(f"k={k} exceeds n={n}")
     return np.argsort(values, axis=-1)[..., :-k - 1:-1]
 
 

@@ -14,7 +14,7 @@ from divrank.autodiff import (DomainError, ParamStore, ShapeError, Tape,
                               TapeStateError, Tensor)
 
 from gradcheck import grad_check
-from loop_oracle import transpose
+from loop_oracle import take_per_row, transpose
 
 RNG = np.random.default_rng(20240811)
 
@@ -204,19 +204,23 @@ class TestSoftmaxFamily:
                      [1, 1, 0, 1, 1, 0]], dtype=bool)
 
     @pytest.mark.parametrize("tau", [0.2, 1.0, 3.0])
-    @pytest.mark.parametrize("keep", [None, KEEP], ids=["rows", "kept"])
-    def test_softmax_grad(self, tau, keep):
-        # softmax(x / tau): sharp, unit and flat distributions, over whole
-        # rows or over each row's kept entries; row 0's dropped entries
-        # lie 1e30 above its kept ones and must not overflow or warn
+    def test_softmax_grad(self, tau):
+        # softmax(x / tau): sharp, unit and flat distributions
+        v = RNG.standard_normal(6)
+        check(lambda t: ad.tsum(ad.mul(ad.softmax(ad.scale(t, 1.0 / tau)), v)),
+              RNG.standard_normal(6), tol=1e-5)
+
+    @pytest.mark.parametrize("tau", [0.2, 1.0, 3.0])
+    def test_softmax_keep_grad(self, tau):
+        # softmax(x / tau) over each row's kept entries; row 0's dropped
+        # entries lie 1e30 above its kept ones and must not overflow or warn
         x = RNG.standard_normal((3, 6))
-        if keep is not None:
-            x[0, ~keep[0]] += 1e30
+        x[0, ~self.KEEP[0]] += 1e30
         v = RNG.standard_normal((3, 6))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check(lambda t: ad.tsum(ad.mul(
-                ad.softmax(ad.scale(t, 1.0 / tau), keep=keep), v)), x,
+                ad.softmax(ad.scale(t, 1.0 / tau), keep=self.KEEP), v)), x,
                 tol=1e-5)
 
     def test_softmax_keep_is_softmax_of_kept_entries(self):
@@ -255,6 +259,24 @@ class TestGathers:
         np.testing.assert_array_equal(table.grad, ref)
         check(lambda t: ad.tsum(ad.mul(ad.gather_rows(t, idx), weights)),
               RNG.standard_normal((6, 3)))
+
+    def test_take_per_row(self):
+        # the taped per-row gather of the reference selection in loop_oracle
+        idx = np.array([[0, 2], [1, 1], [3, 0]])
+        check(lambda t: ad.tsum(take_per_row(t, idx)),
+              RNG.standard_normal((3, 4)))
+
+    def test_take_per_row_scatter_matches_add_at(self):
+        idx = np.array([[2, 2, 0], [1, 3, 1], [0, 0, 0]])
+        weights = RNG.standard_normal(idx.shape)
+        tape = Tape()
+        a = tape.leaf(RNG.standard_normal((3, 4)))
+        tape.backward(ad.tsum(ad.mul(take_per_row(a, idx), weights)))
+        ref = np.zeros((3, 4))
+        np.add.at(ref, (np.arange(3)[:, None], idx), weights)
+        np.testing.assert_array_equal(a.grad, ref)
+        check(lambda t: ad.tsum(ad.mul(take_per_row(t, idx), weights)),
+              RNG.standard_normal((3, 4)))
 
     def test_add_constant_passes_grad_through(self):
         tape = Tape()

@@ -89,6 +89,19 @@ class TestSampleContexts:
                 np.testing.assert_allclose(a.data.sum(axis=1), 1.0,
                                            rtol=0.0, atol=1e-12)
 
+    def test_self_never_in_either_context(self):
+        d, n, k = 6, 12, 3
+        _, P = make_P(d)
+        E = RNG.standard_normal((n, d))
+        pool = np.array([0, 2, 3, 5, 7, 8, 10, 11])
+        w = attention_scores_all(P, ad.matmul(Tensor(E), P["cce_w1"]),
+                                 Tensor(E[pool]))
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            for a in sample_contexts(w, self_mask(n, pool), k, rng):
+                for i in range(n):
+                    assert i not in pool[a.data[i] != 0.0]
+
     def test_each_side_is_softmax_over_its_perturbed_picks(self):
         # positive: softmax(w + g) over the k largest of w + g; negative:
         # softmax(w - g') over the k largest of -w + g', so it favours
@@ -155,6 +168,67 @@ class TestSampleContexts:
         tape.backward(ad.tsum(ad.mul(ad.add(a_pos, a_neg), m)))
         assert np.abs(P["cce_w1"].grad).max() > 0.0
         assert np.abs(P["cce_w2"].grad).max() > 0.0
+
+
+class TestPooling:
+    """Each side's context is its dense weights times the pool's value
+    rows, one segment_matmul per side, as distill.batch_loss pools."""
+
+    def test_positive_context_is_softmax_average(self):
+        w = np.array([[1.0, 2.0, 0.5, -1.0, 0.0, -3.0]])
+        V = RNG.standard_normal((6, 4))
+        a_pos, _ = sample_contexts(Tensor(w), np.zeros((1, 6)), 2)
+        out = ad.segment_matmul(a_pos, Tensor(V), [0, 1], [0, 6]).data
+        picks = [1, 0]
+        e = np.exp(w[0, picks] - w[0, picks].max())
+        np.testing.assert_allclose(out[0], (e / e.sum()) @ V[picks],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_negative_context_prefers_low_scores(self):
+        w = np.array([[5.0, -5.0, 4.0, 3.0, -4.0]])
+        _, a_neg = sample_contexts(Tensor(w), np.zeros((1, 5)), 2)
+        out = ad.segment_matmul(a_neg, Tensor(np.eye(5)), [0, 1],
+                                [0, 5]).data
+        # all mass on the two lowest scores, weighted by softmax(w) there
+        np.testing.assert_array_equal(out[0, [0, 2, 3]], 0.0)
+        e = np.exp(w[0, [1, 4]] - w[0, [1, 4]].max())
+        np.testing.assert_allclose(out[0, [1, 4]], e / e.sum(), rtol=0.0,
+                                   atol=1e-15)
+
+    def test_segments_pool_only_their_own_values(self):
+        # rows 0:2 pool over value rows 0:3, padded to width 5; rows 2:5
+        # over value rows 3:8
+        w = RNG.standard_normal((5, 5))
+        mask = np.zeros((5, 5))
+        mask[:2, 3:] = cce.MASK_VALUE
+        V = RNG.standard_normal((8, 4))
+        segments = ([0, 2, 5], [0, 3, 8])
+        for a in sample_contexts(Tensor(w), mask, 2,
+                                 np.random.default_rng(2)):
+            np.testing.assert_array_equal(a.data[:2, 3:], 0.0)
+            out = ad.segment_matmul(a, Tensor(V), *segments).data
+            np.testing.assert_allclose(out[:2], a.data[:2, :3] @ V[:3],
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(out[2:], a.data[2:] @ V[3:],
+                                       rtol=0.0, atol=1e-12)
+
+    def test_pooling_grad_check(self):
+        mask = self_mask(6, np.arange(6))
+        V = RNG.standard_normal((6, 4))
+        m = RNG.standard_normal((6, 4))
+        segments = ([0, 6], [0, 6])
+
+        def f(leaf):
+            a_pos, _ = sample_contexts(leaf, mask, 2,
+                                       np.random.default_rng(3))
+            return ad.tsum(ad.mul(
+                ad.segment_matmul(a_pos, Tensor(V), *segments), m))
+
+        assert grad_check(f, RNG.standard_normal((6, 6))) < 1e-6
+        _, a_neg = sample_contexts(Tensor(RNG.standard_normal((6, 6))), mask,
+                                   2, np.random.default_rng(3))
+        assert grad_check(lambda leaf: ad.tsum(ad.mul(
+            ad.segment_matmul(a_neg, leaf, *segments), m)), V) < 1e-6
 
 
 class TestInfoNCE:

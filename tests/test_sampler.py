@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from divrank import autodiff as ad
-from divrank.autodiff import Tape, Tensor
+from divrank.autodiff import DomainError, Tape, Tensor
+from divrank.cce import _top_k
 from divrank.sampler import gumbel_noise, perturb
+
+from loop_oracle import hard_topk
 
 RNG = np.random.default_rng(99)
 
@@ -40,6 +43,33 @@ class TestPerturb:
         assert np.any(out.data != 0.0)
         tape.backward(ad.tsum(out))
         np.testing.assert_allclose(x.grad, np.ones(5))
+
+
+class TestHardTopk:
+    """The reference argsort picks (loop_oracle.hard_topk) and the
+    threshold picks training makes (cce._top_k) select the same columns."""
+
+    def test_ordered_by_value(self):
+        v = np.array([0.1, 0.9, 0.5, 0.7])
+        assert hard_topk(v, 3).tolist() == [1, 3, 2]
+        assert np.flatnonzero(_top_k(v[None], 3)[0]).tolist() == [1, 2, 3]
+
+    def test_k_equals_n(self):
+        v = RNG.standard_normal(6)
+        assert hard_topk(v, 6).tolist() == np.argsort(-v).tolist()
+        assert _top_k(v[None], 6).all()
+
+    def test_batched_rows_independent(self):
+        v = RNG.standard_normal((10, 8))
+        idx = hard_topk(v, 3)
+        picks = _top_k(v, 3)
+        for r in range(10):
+            assert idx[r].tolist() == np.argsort(-v[r])[:3].tolist()
+            assert np.flatnonzero(picks[r]).tolist() == sorted(idx[r])
+
+    def test_k_too_large(self):
+        with pytest.raises(DomainError):
+            hard_topk(np.ones(3), 4)
 
 
 class TestSampleFrequencies:
