@@ -7,6 +7,7 @@ subcommand handlers import the rest of the package lazily.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -39,12 +40,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _atomic_json(path, payload):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Write to a temporary sibling of path and move it into place only
+    when the block succeeds; on failure path is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_json(path, payload):
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _emit(payload, out_path=None):
@@ -181,17 +195,14 @@ def cmd_rank(args):
 
     model = load_checkpoint(args.checkpoint)
     dataset = load_jsonl(args.data)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with (_atomic_open(args.out) if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         for request in dataset.requests:
             ranked = fused_rank(model, request, args.K, args.gamma)
             json.dump({"request_id": ranked.request_id,
                        "items": ranked.item_ids,
                        "scores": [float(s) for s in ranked.scores]}, out)
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

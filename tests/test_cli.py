@@ -153,6 +153,33 @@ class TestRank:
             assert len(line["scores"]) == 5
             assert sorted(line["scores"], reverse=True) == line["scores"]
 
+    def rank_fails(self, workspace, tmp_path, out, capsys):
+        """rank over the workspace data with request 6 cut to 5 candidates,
+        below the 2k + 1 = 7 that the student's context needs."""
+        _, data_path, ckpt = workspace
+        lines = data_path.read_text().splitlines()
+        req = json.loads(lines[5])
+        req["candidates"] = req["candidates"][:5]
+        lines[5] = json.dumps(req)
+        bad = tmp_path / "short.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, err = run(["rank", "--checkpoint", str(ckpt), "--data",
+                         str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert json.loads(err.err)["error"] == "DomainError"
+        assert not (tmp_path / (out.name + ".tmp")).exists()
+
+    def test_failure_writes_no_new_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "ranked.jsonl"
+        self.rank_fails(workspace, tmp_path, out, capsys)
+        assert not out.exists()
+
+    def test_failure_keeps_existing_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "ranked.jsonl"
+        out.write_bytes(b'{"request_id": "old"}\n')
+        self.rank_fails(workspace, tmp_path, out, capsys)
+        assert out.read_bytes() == b'{"request_id": "old"}\n'
+
     def test_corrupt_checkpoint_errors(self, workspace, tmp_path, capsys):
         _, data_path, ckpt = workspace
         import shutil

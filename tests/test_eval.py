@@ -39,6 +39,18 @@ class TestTopKHeap:
         with pytest.raises(ValueError, match="finite"):
             top_k_fused(scores, 2, {"heap_comparisons": 0})
 
+    def test_counters_start_empty_and_accumulate(self):
+        scores = np.array([0.3, 0.1, 0.2])
+        counters = {}
+        assert top_k_fused(scores, 2, counters).tolist() == [0, 2]
+        once = counters["heap_comparisons"]
+        assert once > 0
+        assert top_k_fused(scores, 2, counters).tolist() == [0, 2]
+        assert counters["heap_comparisons"] == 2 * once
+        counters = {"heap_comparisons": 100, "sim_evals": 7}
+        top_k_fused(scores, 2, counters)
+        assert counters == {"heap_comparisons": 100 + once, "sim_evals": 7}
+
     def test_comparisons_grow_linearly_in_n(self):
         rng = np.random.default_rng(0)
         K = 16

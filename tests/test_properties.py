@@ -1,6 +1,7 @@
 """Property tests of request ingestion over random ragged request lists:
 the JSONL round trip, first-seen vocabulary order, and the columnar
-decoder against a per-candidate reference decoder.
+decoder against a per-candidate reference decoder. Also the Top-K heap,
+counted and uncounted, against a stable sort.
 """
 
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from divrank.backbone import TrainConfig
 from divrank.data import load_jsonl, save_jsonl
 from divrank.distill import CDMModel
+from divrank.evaluation import top_k_fused
 
 ITEMS = [f"i{j}" for j in range(40)]
 USERS = ["u0", "u1", "u2", "u3"]
@@ -123,3 +125,31 @@ def test_request_arrays_match_reference_decoder(requests):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+# a small pool of values makes ties likely; 0.0 and -0.0 compare equal
+EDGE_SCORES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def scores_and_k(draw):
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_SCORES),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=60))
+    return np.array(values, dtype=np.float64), \
+        draw(st.integers(-2, len(values) + 2))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(scores_and_k())
+def test_top_k_matches_stable_sort(case):
+    scores, K = case
+    n = len(scores)
+    want = sorted(range(n), key=lambda i: (-scores[i], i))[:max(K, 0)]
+    assert top_k_fused(scores, K).tolist() == want
+    counters = {}
+    assert top_k_fused(scores, K, counters).tolist() == want
+    if 0 < K < n:
+        assert counters["heap_comparisons"] >= n - K
