@@ -94,6 +94,18 @@ def hidden_sizes(d: int):
     return 4 * d, 2 * d
 
 
+def param_shapes(n_items, n_cats, n_users, d) -> dict:
+    """Shape of each backbone parameter over vocabularies of these sizes."""
+    h1, h2 = hidden_sizes(d)
+    return {"item_emb": (n_items, d), "cat_emb": (n_cats, d),
+            "user_emb": (n_users, d), "mlp_w1": (5 * d, h1), "mlp_b1": (h1,),
+            "mlp_w2": (h1, h2), "mlp_b2": (h2,), "mlp_w3": (h2, 1),
+            "mlp_b3": (1,)}
+
+
+BACKBONE_PARAM_NAMES = tuple(param_shapes(0, 0, 0, 1))
+
+
 def init_backbone(params: ParamStore, n_items, n_cats, n_users, d, rng,
                   emb_scale: float = 0.1):
     """Install freshly initialized backbone tables and scorer weights.
@@ -103,23 +115,14 @@ def init_backbone(params: ParamStore, n_items, n_cats, n_users, d, rng,
     the pairwise dot products scale with the fourth power of the entry
     magnitude.
     """
-    h1, h2 = hidden_sizes(d)
-    params.add("item_emb", emb_scale * rng.standard_normal((n_items, d)))
-    params.add("cat_emb", emb_scale * rng.standard_normal((n_cats, d)))
-    params.add("user_emb", emb_scale * rng.standard_normal((n_users, d)))
-    for name, (fan_in, fan_out) in (("mlp_w1", (5 * d, h1)),
-                                    ("mlp_w2", (h1, h2)),
-                                    ("mlp_w3", (h2, 1))):
-        lim = math.sqrt(6.0 / (fan_in + fan_out))
-        params.add(name, rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-    params.add("mlp_b1", np.zeros(h1))
-    params.add("mlp_b2", np.zeros(h2))
-    params.add("mlp_b3", np.zeros(1))
-
-
-BACKBONE_PARAM_NAMES = ("item_emb", "cat_emb", "user_emb",
-                        "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-                        "mlp_w3", "mlp_b3")
+    shapes = param_shapes(n_items, n_cats, n_users, d)
+    for name in ("item_emb", "cat_emb", "user_emb"):
+        params.add(name, emb_scale * rng.standard_normal(shapes[name]))
+    for name in ("mlp_w1", "mlp_w2", "mlp_w3"):
+        lim = math.sqrt(6.0 / sum(shapes[name]))   # fan_in + fan_out
+        params.add(name, rng.uniform(-lim, lim, size=shapes[name]))
+    for name in ("mlp_b1", "mlp_b2", "mlp_b3"):
+        params.add(name, np.zeros(shapes[name]))
 
 
 def score_logits(P, user_idx, item_idx, cat_idx, *, training=False,

@@ -15,20 +15,23 @@ from .sampler import perturb
 
 MASK_VALUE = -1e30  # additive mask; keeps a column out of every top-k pick
 
-CCE_PARAM_NAMES = ("cce_w1", "cce_w2", "cce_w3",
-                   "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
+
+def param_shapes(d: int) -> dict:
+    """Shape of each CCE and FFN parameter at embedding width d."""
+    return {"cce_w1": (d, d), "cce_w2": (d, d), "cce_w3": (d, d),
+            "ffn_w1": (2 * d, 2 * d), "ffn_b1": (2 * d,),
+            "ffn_w2": (2 * d, d), "ffn_b2": (d,)}
+
+
+CCE_PARAM_NAMES = tuple(param_shapes(1))
 
 
 def init_cce(params: ParamStore, d: int, rng):
-    for name in ("cce_w1", "cce_w2", "cce_w3"):
-        lim = math.sqrt(6.0 / (2 * d))
-        params.add(name, rng.uniform(-lim, lim, size=(d, d)))
-    lim1 = math.sqrt(6.0 / (4 * d))
-    params.add("ffn_w1", rng.uniform(-lim1, lim1, size=(2 * d, 2 * d)))
-    params.add("ffn_b1", np.zeros(2 * d))
-    lim2 = math.sqrt(6.0 / (3 * d))
-    params.add("ffn_w2", rng.uniform(-lim2, lim2, size=(2 * d, d)))
-    params.add("ffn_b2", np.zeros(d))
+    """Glorot-uniform weight matrices and zero biases."""
+    for name, shape in param_shapes(d).items():
+        lim = math.sqrt(6.0 / sum(shape))
+        params.add(name, np.zeros(shape) if len(shape) == 1
+                   else rng.uniform(-lim, lim, size=shape))
 
 
 def _offsets(n_rows, n_pool, segments):

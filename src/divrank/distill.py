@@ -15,6 +15,9 @@ import json
 import math
 import os
 import shutil
+import zlib
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -72,44 +75,59 @@ class CDMModel:
         return cls(config, {iid: items[iid] for iid in dataset.item_vocab},
                    dataset.category_vocab, dataset.user_vocab)
 
-    # --- vocabulary surfaces -------------------------------------------
+    # --- decoding ------------------------------------------------------
 
-    def user_index(self, user_id: str) -> int:
-        if user_id not in self._user_row:
-            raise VocabError(f"unknown user id: {user_id!r}")
-        return self._user_row[user_id]
-
-    def request_arrays(self, request):
-        """(item rows, category rows, labels) of a request's candidates."""
+    def request_arrays(self, request) -> "RequestRows":
+        """The request as this model's rows; unknown ids raise VocabError."""
         ids = request.item_ids
         try:
             item_idx = np.fromiter(map(self._item_row.__getitem__, ids),
                                    dtype=np.int64, count=len(ids))
         except KeyError as e:
             raise VocabError(f"unknown item id: {e.args[0]!r}") from None
-        return (item_idx, self._item_cat_row[item_idx],
-                np.array(request.labels, dtype=np.int64))
+        if request.user_id not in self._user_row:
+            raise VocabError(f"unknown user id: {request.user_id!r}")
+        return RequestRows(
+            self._user_row[request.user_id], item_idx,
+            self._item_cat_row[item_idx],
+            np.array(request.labels, dtype=np.int64),
+            (self.config.seed << 32)
+            ^ zlib.crc32(request.request_id.encode("utf-8")), self.config)
 
     # --- detached (eval-mode) scoring ----------------------------------
 
-    def acc_scores(self, u_idx: int, item_idx, cat_idx) -> np.ndarray:
-        return bb.score_all_detached(self.params, u_idx, item_idx, cat_idx)
+    def acc_scores(self, rows: "RequestRows") -> np.ndarray:
+        return bb.score_all_detached(self.params, rows.u_idx, rows.item_idx,
+                                     rows.cat_idx)
+
+    def student_scores(self, rows: "RequestRows") -> np.ndarray:
+        return win_probabilities_detached(self.params, rows, self.config)
 
     def win_probabilities(self, request) -> np.ndarray:
-        item_idx, cat_idx, _ = self.request_arrays(request)
-        u_idx = self.user_index(request.user_id)
-        return win_probabilities_detached(
-            self.params, u_idx, item_idx, self.config,
-            pool_seed=request_pool_seed(self.config.seed, request.request_id))
+        return self.student_scores(self.request_arrays(request))
 
     def copy(self) -> "CDMModel":
         return CDMModel(self.config, self.item_category, self.category_ids,
                         self.user_ids, params=self.params.copy())
 
 
-def request_pool_seed(seed: int, request_id: str) -> int:
-    import zlib
-    return (seed << 32) ^ zlib.crc32(request_id.encode("utf-8"))
+@dataclass(eq=False)
+class RequestRows:
+    """One request decoded to model rows: the user's row, each candidate's
+    item row, category row and label (-1 when never shown), and the seed
+    of its context pool. The pool is drawn on first use, under config's
+    max_context_pool, and then kept."""
+
+    u_idx: int
+    item_idx: np.ndarray
+    cat_idx: np.ndarray
+    labels: np.ndarray
+    pool_seed: int
+    config: TrainConfig
+
+    @cached_property
+    def pool(self) -> np.ndarray:
+        return context_pool(len(self.item_idx), self.config, self.pool_seed)
 
 
 def context_pool(n: int, config: TrainConfig, pool_seed: int) -> np.ndarray:
@@ -124,26 +142,23 @@ def context_pool(n: int, config: TrainConfig, pool_seed: int) -> np.ndarray:
                                replace=False))
 
 
-def win_probabilities_detached(params: ParamStore, u_idx: int, item_idx,
-                               config: TrainConfig,
-                               pool_seed: int = 0) -> np.ndarray:
+def win_probabilities_detached(params: ParamStore, rows: RequestRows,
+                               config: TrainConfig) -> np.ndarray:
     """Serving path: numpy-only student forward over the request's context
     pool, zero noise, dropout off."""
     d = config.d
     k = config.k
-    item_idx = np.asarray(item_idx, dtype=np.int64)
-    n = len(item_idx)
+    n = len(rows.item_idx)
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
-    E = params["item_emb"][item_idx]
-    pool = context_pool(n, config, pool_seed)
-    E_pool = E[pool]
+    E = params["item_emb"][rows.item_idx]
+    E_pool = E[rows.pool]
     q = E @ params["cce_w1"]
     w = (q / math.sqrt(d)) @ (E_pool @ params["cce_w2"]).T
-    a = _context_weights(w, pool, k)
+    a = _context_weights(w, rows.pool, k)
     # pooling is one gemm per side against the pool's value rows, with the
     # user gate folded into those rows, written into the FFN input's halves
-    uv = (E_pool @ params["cce_w3"]) * params["user_emb"][u_idx]
+    uv = (E_pool @ params["cce_w3"]) * params["user_emb"][rows.u_idx]
     x = np.empty((n, 2, d))
     np.matmul(a, uv, out=x.transpose(1, 0, 2))
     h = x.reshape(n, 2 * d) @ params["ffn_w1"]
@@ -259,12 +274,12 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
                training=False):
     """Joint loss of a batch of requests as one block on P's tape.
 
-    batch holds one (u_idx, item_idx, cat_idx, labels, pool) tuple per
-    request and y_teas its teacher labels; y_teas=None computes only the
-    accuracy BCE (the warm-up loss). The candidates of all requests are
+    batch holds one RequestRows per request and y_teas its teacher
+    labels; y_teas=None computes only the accuracy BCE (the warm-up loss),
+    which reads no context pool. The candidates of all requests are
     stacked as rows. Each target attends over the keys and values of its
-    own request's context pool (candidate positions `pool`); pool columns
-    are padded to the widest pool and masked.
+    own request's context pool (candidate positions rows.pool); pool
+    columns are padded to the widest pool and masked.
 
     The loss and each component are the mean over requests of that
     request's own mean: rows are weighted 1/(B*n_r), BCE covers only
@@ -278,16 +293,16 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
     """
     B = len(batch)
     joint = y_teas is not None
-    users, items, cats, labels, pools = zip(*batch)
-    ns = np.array([len(i) for i in items])
-    n_shown = np.array([np.count_nonzero(y >= 0) for y in labels])
+    ns = np.array([len(r.item_idx) for r in batch])
+    n_shown = np.array([np.count_nonzero(r.labels >= 0) for r in batch])
     row_off = np.concatenate(([0], np.cumsum(ns)))
-    users = np.repeat(users, ns)
-    items = np.concatenate(items)
-    labels = np.concatenate(labels)
+    users = np.repeat([r.u_idx for r in batch], ns)
+    items = np.concatenate([r.item_idx for r in batch])
+    labels = np.concatenate([r.labels for r in batch])
     shown = np.flatnonzero(labels >= 0)
     ms = None
     if joint:
+        pools = [r.pool for r in batch]
         ms = np.array([len(p) for p in pools])
         if 2 * config.k > ms.min() - 1:
             raise ad.DomainError(
@@ -300,7 +315,8 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
     components = {}
     if shown.size > 0:
         f_shown = ad.sigmoid(bb.score_logits(
-            P, users[shown], items[shown], np.concatenate(cats)[shown],
+            P, users[shown], items[shown],
+            np.concatenate([r.cat_idx for r in batch])[shown],
             training=training, dropout=drop, rng=draws))
         weights = 1.0 / (B * np.repeat(n_shown, n_shown))
         loss_bce = bb.bce_loss(f_shown, labels[shown], weights)
@@ -352,22 +368,11 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
 # training
 
 
-def _teacher_k(config: TrainConfig, n: int) -> int:
-    return config.K_teacher if config.K_teacher is not None \
-        else math.ceil(0.2 * n)
-
-
-def _refresh_labels(model: CDMModel, packed, config):
-    out = []
-    for u_idx, item_idx, cat_idx, *_ in packed:
-        acc = model.acc_scores(u_idx, item_idx, cat_idx)
-        ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
-        K = _teacher_k(config, len(item_idx))
-        selected, _gains = teach.mmr_greedy(acc, ew, config.lam, K)
-        y = np.zeros(len(item_idx))
-        y[selected] = 1.0
-        out.append(y)
-    return out
+def _refresh_labels(model: CDMModel, split, config):
+    """Teacher labels per request: K_teacher picks, or ceil(0.2 * n)."""
+    return [teach.mmr_rows(model, rows, config.lam, config.K_teacher
+                           or math.ceil(0.2 * len(rows.item_idx)))[2]
+            for rows in split]
 
 
 def _mean(values):
@@ -386,18 +391,8 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
     model = CDMModel.from_dataset(train_ds, config)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x7EA]))
 
-    def pack(ds):
-        out = []
-        for req in ds.requests:
-            item_idx, cat_idx, labels = model.request_arrays(req)
-            pool = context_pool(len(item_idx), config, request_pool_seed(
-                config.seed, req.request_id))
-            out.append((model.user_index(req.user_id), item_idx, cat_idx,
-                        labels, pool))
-        return out
-
-    train_packed = pack(train_ds)
-    val_packed = pack(val_ds)
+    train_rows = [model.request_arrays(req) for req in train_ds.requests]
+    val_rows = [model.request_arrays(req) for req in val_ds.requests]
     history = []
 
     def check_finite(value, epoch, step):
@@ -407,13 +402,13 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
 
     # phase 1: backbone-only BCE warm-up over the requests with shown labels
     for epoch in range(config.warm_epochs):
-        order = rng.permutation(len(train_packed))
+        order = rng.permutation(len(train_rows))
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
-            # the BCE is a mean over requests with a shown label (field 3)
-            batch = [train_packed[i]
+            # the BCE is a mean over requests with a shown label
+            batch = [train_rows[i]
                      for i in order[start:start + config.batch_size]
-                     if np.any(train_packed[i][3] >= 0)]
+                     if np.any(train_rows[i].labels >= 0)]
             if not batch:
                 continue
             tape = ad.Tape()
@@ -424,7 +419,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             tape.backward(loss)
             model.params.sgd_step(P, config.lr)
             losses.append(loss.item())
-        val_bce = _phase1_val_loss(model, val_packed)
+        val_bce = _phase1_val_loss(model, val_rows)
         history.append({"phase": "warmup", "epoch": epoch,
                         "train_bce": _mean(losses), "val_bce": val_bce})
 
@@ -433,16 +428,16 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
     best_val = math.inf
     stale = 0
     for epoch in range(config.joint_epochs):
-        train_labels = _refresh_labels(model, train_packed, config)
-        val_labels = _refresh_labels(model, val_packed, config)
-        order = rng.permutation(len(train_packed))
+        train_labels = _refresh_labels(model, train_rows, config)
+        val_labels = _refresh_labels(model, val_rows, config)
+        order = rng.permutation(len(train_rows))
         sums = {"total": [], "bce": [], "kd": [], "infonce": []}
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[start:start + config.batch_size]
             tape = ad.Tape()
             P = model.params.leaves(tape)
             loss, comps = batch_loss(
-                P, [train_packed[i] for i in batch],
+                P, [train_rows[i] for i in batch],
                 [train_labels[i] for i in batch], config, rng=rng,
                 training=True)
             check_finite(loss.item(), epoch, step)
@@ -452,7 +447,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             for key in ("bce", "kd", "infonce"):
                 sums[key].append(comps[key].item())
 
-        val_total, val_comps = _joint_val_loss(model, val_packed, val_labels,
+        val_total, val_comps = _joint_val_loss(model, val_rows, val_labels,
                                                config)
         check_finite(val_total, epoch, -1)
         history.append({"phase": "joint", "epoch": epoch,
@@ -475,29 +470,30 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
     return model, history
 
 
-def _phase1_val_loss(model, packed):
+def _phase1_val_loss(model, split):
     losses = []
-    for u_idx, item_idx, cat_idx, labels, _ in packed:
-        shown = np.flatnonzero(labels >= 0)
+    for rows in split:
+        shown = np.flatnonzero(rows.labels >= 0)
         if shown.size == 0:
             continue
-        f = model.acc_scores(u_idx, item_idx[shown], cat_idx[shown])
+        f = bb.score_all_detached(model.params, rows.u_idx,
+                                  rows.item_idx[shown], rows.cat_idx[shown])
         f = np.clip(f, 1e-12, 1.0 - 1e-12)
-        y = labels[shown].astype(np.float64)
+        y = rows.labels[shown].astype(np.float64)
         losses.append(float(-(y * np.log(f) + (1 - y) * np.log(1 - f)).mean()))
     return _mean(losses)
 
 
-def _joint_val_loss(model, packed, labels_list, config):
+def _joint_val_loss(model, split, labels_list, config):
     """Eval-mode joint loss and components, each the mean over requests,
     computed batch_size requests at a time."""
     P = {name: Tensor(arr) for name, arr in model.params.items()}
     sums = {"total": 0.0, "bce": 0.0, "kd": 0.0, "infonce": 0.0}
-    for start in range(0, len(packed), config.batch_size):
+    for start in range(0, len(split), config.batch_size):
         stop = start + config.batch_size
-        total, comps = batch_loss(P, packed[start:stop],
+        total, comps = batch_loss(P, split[start:stop],
                                   labels_list[start:stop], config)
-        share = len(packed[start:stop]) / len(packed)
+        share = len(split[start:stop]) / len(split)
         sums["total"] += share * total.item()
         for key in ("bce", "kd", "infonce"):
             sums[key] += share * comps[key].item()
@@ -578,17 +574,25 @@ def load_checkpoint(path) -> CDMModel:
         blob = fh.read()
 
     tensors = manifest["tensors"]
-    expected_names = set(ALL_PARAM_NAMES)
+    # every table must fit the vocabulary and width the model will index
+    expected = {**bb.param_shapes(len(vocab["items"]),
+                                  len(vocab["categories"]),
+                                  len(vocab["users"]), config.d),
+                **cce.param_shapes(config.d)}
     total = 0
     last_end = 0
     params = ParamStore()
     for entry in tensors:
         name = entry["name"]
-        if name not in expected_names:
+        if name not in expected:
             raise CheckpointError(f"unknown tensor name in manifest: {name!r}")
         if entry["offset"] != last_end:
             raise CheckpointError("manifest offsets overlap or leave gaps")
         shape = tuple(entry["shape"])
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"tensor {name!r} has shape {list(shape)}; the vocabulary "
+                f"and d={config.d} need {list(expected[name])}")
         nbytes = entry["nbytes"]
         if nbytes != int(np.prod(shape)) * 8:
             raise CheckpointError(f"byte length mismatch for {name!r}")
@@ -602,7 +606,7 @@ def load_checkpoint(path) -> CDMModel:
         last_end = end
     if total != len(blob) or total != manifest.get("total_bytes", total):
         raise CheckpointError("weights.bin size does not match manifest")
-    missing = expected_names - set(params.names())
+    missing = expected.keys() - set(params.names())
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
 

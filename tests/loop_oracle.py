@@ -72,9 +72,11 @@ def _pool(weights, values):
     return ad.tsum(ad.mul(w3, values), axis=-2)
 
 
-def request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea, config, pool,
-                 rng=None, training=False):
-    """(total, components) of one request over its context pool."""
+def request_loss(P, rows, y_tea, config, rng=None, training=False):
+    """(total, components) of one request (distill.RequestRows) over its
+    context pool."""
+    u_idx, item_idx, cat_idx, labels, pool = (
+        rows.u_idx, rows.item_idx, rows.cat_idx, rows.labels, rows.pool)
     n = len(item_idx)
     m = len(pool)
     noise_rng = rng if training else None
@@ -128,9 +130,9 @@ def joint_step(params, batch, y_teas, config, rng):
     tape = ad.Tape()
     P = params.leaves(tape)
     loss = None
-    for (u_idx, item_idx, cat_idx, labels, pool), y_tea in zip(batch, y_teas):
-        total, _ = request_loss(P, u_idx, item_idx, cat_idx, labels, y_tea,
-                                config, pool, rng=rng, training=True)
+    for rows, y_tea in zip(batch, y_teas):
+        total, _ = request_loss(P, rows, y_tea, config, rng=rng,
+                                training=True)
         loss = total if loss is None else ad.add(loss, total)
     loss = ad.scale(loss, 1.0 / len(batch))
     tape.backward(loss)
@@ -143,14 +145,14 @@ def warmup_step(params, batch, config, rng):
     tape = ad.Tape()
     P = params.leaves(tape)
     terms = []
-    for u_idx, item_idx, cat_idx, labels, _ in batch:
-        shown = np.flatnonzero(labels >= 0)
+    for rows in batch:
+        shown = np.flatnonzero(rows.labels >= 0)
         if shown.size == 0:
             continue
         f = ad.sigmoid(bb.score_logits(
-            P, u_idx, item_idx[shown], cat_idx[shown],
+            P, rows.u_idx, rows.item_idx[shown], rows.cat_idx[shown],
             training=True, dropout=config.dropout, rng=rng))
-        terms.append(bb.bce_loss(f, labels[shown]))
+        terms.append(bb.bce_loss(f, rows.labels[shown]))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

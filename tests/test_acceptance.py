@@ -145,8 +145,7 @@ class TestJointLossGradient:
                              seed=3)
         model = distill.CDMModel.from_dataset(ds, cfg)
         req = ds.requests[0]
-        item_idx, cat_idx, labels = model.request_arrays(req)
-        u_idx = model.user_index(req.user_id)
+        rows = model.request_arrays(req)
         y_tea = teach.mmr_select(req, model, cfg.lam, 3).y_tea
 
         worst = {}
@@ -154,10 +153,7 @@ class TestJointLossGradient:
             def f(leaf, _name=name):
                 P = {n: Tensor(v) for n, v in model.params.items()}
                 P[_name] = leaf
-                total, _ = distill.batch_loss(
-                    P, [(u_idx, item_idx, cat_idx, labels,
-                         distill.context_pool(len(item_idx), cfg, 0))],
-                    [y_tea], cfg)
+                total, _ = distill.batch_loss(P, [rows], [y_tea], cfg)
                 return total
             worst[name] = grad_check(f, model.params[name])
         assert max(worst.values()) < 1e-4, worst

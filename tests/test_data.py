@@ -147,8 +147,8 @@ class TestVocab:
         write_lines(p, [valid_line()])
         ds = load_jsonl(p)
         model = CDMModel.from_dataset(ds, TrainConfig())
-        _, _, labels = model.request_arrays(ds.requests[0])
-        assert labels.tolist() == [1, 0, -1]
+        rows = model.request_arrays(ds.requests[0])
+        assert rows.labels.tolist() == [1, 0, -1]
 
 
 class TestSyntheticSpecValidation:

@@ -37,32 +37,44 @@ def kd_loss(y_stu, y_tea):
 def total_loss(model, request):
     """Eval-mode loss of a Request against fresh teacher labels."""
     config = model.config
-    item_idx, cat_idx, labels = model.request_arrays(request)
-    K = config.K_teacher or math.ceil(0.2 * len(item_idx))
+    rows = model.request_arrays(request)
+    K = config.K_teacher or math.ceil(0.2 * len(rows.item_idx))
     y_tea = teach.mmr_select(request, model, config.lam, K).y_tea
     P = {name: Tensor(arr) for name, arr in model.params.items()}
-    pool = distill.context_pool(len(item_idx), config, 0)
-    return distill.batch_loss(
-        P, [(model.user_index(request.user_id), item_idx, cat_idx, labels,
-             pool)], [y_tea], config)
+    return distill.batch_loss(P, [rows], [y_tea], config)
+
+
+def sampled_rows(model, item_idx, u_idx=0, pool_seed=0, config=None):
+    """A decoded request over the given item rows with no label shown."""
+    item_idx = np.asarray(item_idx, dtype=np.int64)
+    return distill.RequestRows(u_idx, item_idx, model._item_cat_row[item_idx],
+                               np.full(len(item_idx), -1, dtype=np.int64),
+                               pool_seed, config or model.config)
 
 
 class TestModelVocab:
     def test_unknown_ids_raise(self, small_model_and_data):
-        model, _ = small_model_and_data
-        with pytest.raises(VocabError):
-            model.user_index("nobody")
+        model, ds = small_model_and_data
+        stranger = dataclasses.replace(ds.requests[0], user_id="nobody")
+        with pytest.raises(VocabError, match="unknown user id: 'nobody'"):
+            model.request_arrays(stranger)
+        # an unknown item is reported before an unknown user
+        both = dataclasses.replace(stranger, item_ids=("mystery",)
+                                   + stranger.item_ids[1:])
+        with pytest.raises(VocabError, match="unknown item id: 'mystery'"):
+            model.request_arrays(both)
 
     def test_request_arrays_match_dataset(self, small_model_and_data):
         model, ds = small_model_and_data
         for req in ds.requests[:5]:
-            item_idx, cat_idx, labels = model.request_arrays(req)
-            assert item_idx.tolist() == [ds.item_vocab[iid]
-                                         for iid in req.item_ids]
-            assert cat_idx.tolist() == [
+            rows = model.request_arrays(req)
+            assert rows.u_idx == ds.user_vocab[req.user_id]
+            assert rows.item_idx.tolist() == [ds.item_vocab[iid]
+                                              for iid in req.item_ids]
+            assert rows.cat_idx.tolist() == [
                 ds.category_vocab[ds.items[iid]]
                 for iid in req.item_ids]
-            assert labels.tolist() == list(req.labels)
+            assert rows.labels.tolist() == list(req.labels)
 
 
 class TestLosses:
@@ -93,13 +105,10 @@ class TestLosses:
         req = ds.requests[0]
         tape = ad.Tape()
         P = model.params.leaves(tape)
-        item_idx, cat_idx, labels = model.request_arrays(req)
         y_tea = teach.mmr_select(req, model, model.config.lam, 5).y_tea
         total, _ = distill.batch_loss(
-            P, [(model.user_index(req.user_id), item_idx, cat_idx, labels,
-                 distill.context_pool(len(item_idx), model.config, 0))],
-            [y_tea], model.config, rng=np.random.default_rng(0),
-            training=True)
+            P, [model.request_arrays(req)], [y_tea], model.config,
+            rng=np.random.default_rng(0), training=True)
         tape.backward(total)
         for name in distill.ALL_PARAM_NAMES:
             assert np.abs(P[name].grad).max() > 0.0, name
@@ -137,16 +146,12 @@ class TestContextPool:
         config = self.pooled(model.config)
         P = {n: Tensor(v) for n, v in model.params.items()}
         for req in ds.requests[:8]:
-            item_idx, cat_idx, labels = model.request_arrays(req)
-            seed = distill.request_pool_seed(config.seed, req.request_id)
-            pool = distill.context_pool(len(item_idx), config, seed)
-            assert len(pool) < len(item_idx)
-            u_idx = model.user_index(req.user_id)
+            rows = dataclasses.replace(model.request_arrays(req),
+                                       config=config)
+            assert len(rows.pool) < len(rows.item_idx)
             _, comps = distill.batch_loss(
-                P, [(u_idx, item_idx, cat_idx, labels, pool)],
-                [np.zeros(len(item_idx))], config)
-            served = win_probabilities_detached(model.params, u_idx, item_idx,
-                                                config, pool_seed=seed)
+                P, [rows], [np.zeros(len(rows.item_idx))], config)
+            served = win_probabilities_detached(model.params, rows, config)
             np.testing.assert_allclose(expit(comps["z_stu"].data), served,
                                        rtol=0.0, atol=1e-12)
 
@@ -159,20 +164,18 @@ class TestContextPool:
 
         def spy(P, batch, y_teas, *args, **kwargs):
             if y_teas is not None:
-                for _, item_idx, _, _, pool in batch:
-                    seen[tuple(item_idx)] = pool
+                for rows in batch:
+                    seen[tuple(rows.item_idx)] = rows.pool
             return real(P, batch, y_teas, *args, **kwargs)
 
         monkeypatch.setattr(distill, "batch_loss", spy)
         model, _ = train(small_dataset, config)
         assert len(seen) == len(small_dataset.requests)
         for req in small_dataset.requests:
-            item_idx, _, _ = model.request_arrays(req)
-            np.testing.assert_array_equal(
-                seen[tuple(item_idx)],
-                distill.context_pool(len(item_idx), config,
-                                     distill.request_pool_seed(
-                                         config.seed, req.request_id)))
+            served = model.request_arrays(req)
+            assert len(served.pool) < len(served.item_idx)
+            np.testing.assert_array_equal(seen[tuple(served.item_idx)],
+                                          served.pool)
 
     def test_repeat_run_bitwise_identical_beyond_the_cap(self, small_dataset,
                                                          small_config):
@@ -194,16 +197,14 @@ class TestContextPool:
         cat_idx = rng.integers(0, 3, size=n)
         labels = np.where(rng.random(n) < 0.5, rng.integers(0, 2, size=n), -1)
         y_tea = (rng.random(n) < 0.3).astype(float)
-        pool = distill.context_pool(n, config, 9)
-        assert len(pool) == 7
+        rows = distill.RequestRows(1, item_idx, cat_idx, labels, 9, config)
+        assert len(rows.pool) == 7
 
         for name in distill.ALL_PARAM_NAMES:
             def f(leaf, name=name):
                 P = {k: Tensor(v) for k, v in params.items()}
                 P[name] = leaf
-                total, _ = distill.batch_loss(
-                    P, [(1, item_idx, cat_idx, labels, pool)], [y_tea],
-                    config)
+                total, _ = distill.batch_loss(P, [rows], [y_tea], config)
                 return total
 
             assert grad_check(f, params[name]) < 1e-4, name
@@ -236,21 +237,20 @@ class TestBatchedStep:
                               rng.integers(0, 2, size=n), -1)
             if r == 2:
                 labels[:] = -1  # no shown labels
-            pool = distill.context_pool(n, config, 100 + r)
-            batch.append((r % 3, item_idx, cat_idx, labels, pool))
+            batch.append(distill.RequestRows(r % 3, item_idx, cat_idx, labels,
+                                             100 + r, config))
             y_teas.append((rng.random(n) < 0.3).astype(float))
         return params, batch, y_teas
 
     def test_eval_loss_is_mean_of_per_request_losses(self):
         config = self.config()
         params, batch, y_teas = self.ragged_batch(config)
-        capped = [len(pool) < len(item_idx)
-                  for _, item_idx, _, _, pool in batch]
+        capped = [len(rows.pool) < len(rows.item_idx) for rows in batch]
         assert any(capped) and not all(capped)
         P = {n: Tensor(v) for n, v in params.items()}
         total, comps = distill.batch_loss(P, batch, y_teas, config)
-        per_request = [loop_oracle.request_loss(P, *req[:4], y, config, req[4])
-                       for req, y in zip(batch, y_teas)]
+        per_request = [loop_oracle.request_loss(P, rows, y, config)
+                       for rows, y in zip(batch, y_teas)]
         one_batch = [distill.batch_loss(P, [req], [y], config)
                      for req, y in zip(batch, y_teas)]
         for losses in (per_request, one_batch):
@@ -270,7 +270,7 @@ class TestBatchedStep:
         oracle, batched = params.copy(), params.copy()
         rng_o, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         for _ in range(2):
-            shown = [req for req in batch if np.any(req[3] >= 0)]
+            shown = [rows for rows in batch if np.any(rows.labels >= 0)]
             want = loop_oracle.warmup_step(oracle, shown, config, rng_o)
             tape = ad.Tape()
             P = batched.leaves(tape)
@@ -310,8 +310,10 @@ class TestBatchedStep:
         config = self.config()
         params, batch, y_teas = self.ragged_batch(config)
         P = {n: Tensor(v) for n, v in params.items()}
-        u_idx, item_idx, cat_idx, labels, _ = batch[0]
-        short = (u_idx, item_idx[:4], cat_idx[:4], labels[:4], np.arange(4))
+        first = batch[0]
+        short = distill.RequestRows(first.u_idx, first.item_idx[:4],
+                                    first.cat_idx[:4], first.labels[:4], 0,
+                                    config)
         with pytest.raises(ad.DomainError):
             distill.batch_loss(P, batch + [short], y_teas + [y_teas[0][:4]],
                                config)
@@ -340,15 +342,11 @@ class TestServingPath:
     def test_matches_tape_eval_forward(self, trained_small):
         model, _, ds = trained_small
         for req in ds.requests[:6]:
-            item_idx, cat_idx, labels = model.request_arrays(req)
-            y_tea = np.zeros(len(item_idx))
+            rows = model.request_arrays(req)
+            y_tea = np.zeros(len(rows.item_idx))
             y_tea[:5] = 1.0
             P = {n: Tensor(v) for n, v in model.params.items()}
-            _, comps = distill.batch_loss(
-                P, [(model.user_index(req.user_id), item_idx, cat_idx,
-                     labels,
-                     distill.context_pool(len(item_idx), model.config, 0))],
-                [y_tea], model.config)
+            _, comps = distill.batch_loss(P, [rows], [y_tea], model.config)
             fast = model.win_probabilities(req)
             np.testing.assert_allclose(fast, expit(comps["z_stu"].data),
                                        atol=1e-9)
@@ -366,8 +364,9 @@ class TestServingPath:
         for n in (2 * config.k + 1, 9, 16, 25, 32, 33, 57, 120):
             item_idx = rng.integers(0, len(model.item_ids), size=n)
             u_idx = int(rng.integers(len(model.user_ids)))
-            got = win_probabilities_detached(model.params, u_idx, item_idx,
-                                             config, pool_seed=n)
+            got = win_probabilities_detached(
+                model.params, sampled_rows(model, item_idx, u_idx, n, config),
+                config)
             want = serving_oracle.win_probabilities(
                 model.params, u_idx, item_idx, config, pool_seed=n)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -376,14 +375,11 @@ class TestServingPath:
         from divrank.evaluation import fused_rank, top_k_fused
         model, _, ds = trained_small
         for req in ds.requests:
-            item_idx, cat_idx, _ = model.request_arrays(req)
-            u_idx = model.user_index(req.user_id)
+            rows = model.request_arrays(req)
             y = serving_oracle.win_probabilities(
-                model.params, u_idx, item_idx, model.config,
-                pool_seed=distill.request_pool_seed(model.config.seed,
-                                                    req.request_id))
-            want = top_k_fused(
-                model.acc_scores(u_idx, item_idx, cat_idx) + 0.3 * y, 10)
+                model.params, rows.u_idx, rows.item_idx, model.config,
+                pool_seed=rows.pool_seed)
+            want = top_k_fused(model.acc_scores(rows) + 0.3 * y, 10)
             ranked = fused_rank(model, req, K=10, gamma=0.3)
             assert ranked.item_idx.tolist() == want.tolist()
 
@@ -403,8 +399,8 @@ class TestServingPath:
         # row maxima of the attention scores now differ by far more than
         # the ~745 that exp can span
         params["cce_w1"][...] *= 1e5
-        item_idx, _, _ = model.request_arrays(ds.requests[0])
-        probs = win_probabilities_detached(params, 0, item_idx, model.config)
+        probs = win_probabilities_detached(
+            params, model.request_arrays(ds.requests[0]), model.config)
         assert np.all(np.isfinite(probs))
 
     def test_pool_subsample_is_deterministic(self, trained_small):
@@ -412,12 +408,9 @@ class TestServingPath:
         rng = np.random.default_rng(8)
         item_idx = rng.integers(0, len(model.item_ids),
                                 size=3 * model.config.max_context_pool)
-        a = win_probabilities_detached(model.params, 0, item_idx,
-                                       model.config, pool_seed=4)
-        b = win_probabilities_detached(model.params, 0, item_idx,
-                                       model.config, pool_seed=4)
-        c = win_probabilities_detached(model.params, 0, item_idx,
-                                       model.config, pool_seed=5)
+        a, b, c = (model.student_scores(sampled_rows(model, item_idx,
+                                                     pool_seed=seed))
+                   for seed in (4, 4, 5))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -425,9 +418,7 @@ class TestServingPath:
         model, _, _ = trained_small
         k = model.config.k
         with pytest.raises(ad.DomainError):
-            win_probabilities_detached(model.params, 0,
-                                       np.zeros(2 * k, dtype=np.int64),
-                                       model.config)
+            model.student_scores(sampled_rows(model, np.zeros(2 * k)))
 
 
 class TestContextWeights:
@@ -478,8 +469,7 @@ class TestContextWeights:
             np.testing.assert_allclose(side.sum(axis=1), 1.0, rtol=1e-12)
             assert [np.flatnonzero(row).tolist() for row in side] == \
                 [sorted(cols) for cols in want]
-        probs = win_probabilities_detached(model.params, 0, item_idx,
-                                           model.config)
+        probs = model.student_scores(sampled_rows(model, item_idx))
         assert np.all(np.isfinite(probs))
         assert np.all((probs > 0.0) & (probs < 1.0))
 
@@ -674,6 +664,30 @@ class TestCheckpoint:
         mf["total_bytes"] -= dropped["nbytes"]
         (path / "manifest.json").write_text(json.dumps(mf))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["items", "users"])
+    def test_vocabulary_larger_than_tables_rejected(self, trained_small,
+                                                    tmp_path, field):
+        model, _, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path)
+        vocab = json.loads((path / "vocab.json").read_text())
+        vocab[field].append(["i-new", vocab["categories"][0]]
+                            if field == "items" else "u-new")
+        (path / "vocab.json").write_text(json.dumps(vocab))
+        table = {"items": "item_emb", "users": "user_emb"}[field]
+        with pytest.raises(CheckpointError, match=f"'{table}' has shape"):
+            load_checkpoint(path)
+
+    def test_width_other_than_d_rejected(self, trained_small, tmp_path):
+        model, _, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path)
+        config = json.loads((path / "config.json").read_text())
+        config["d"] += 1
+        (path / "config.json").write_text(json.dumps(config))
+        with pytest.raises(CheckpointError, match=r"d=9 need"):
             load_checkpoint(path)
 
     def test_offset_gap_rejected(self, trained_small, tmp_path):

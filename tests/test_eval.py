@@ -129,9 +129,7 @@ class TestModelEvaluation:
     def test_gamma_zero_ranks_by_accuracy(self, trained_small):
         model, _, ds = trained_small
         req = ds.requests[0]
-        item_idx, cat_idx, _ = model.request_arrays(req)
-        acc = model.acc_scores(model.user_index(req.user_id), item_idx,
-                               cat_idx)
+        acc = model.acc_scores(model.request_arrays(req))
         ranked = fused_rank(model, req, K=5, gamma=0.0)
         assert ranked.item_idx.tolist() == \
             sorted(range(len(acc)), key=lambda i: (-acc[i], i))[:5]
@@ -139,30 +137,44 @@ class TestModelEvaluation:
     def test_gamma_shifts_scores_by_win_probability(self, trained_small):
         model, _, ds = trained_small
         req = ds.requests[1]
-        item_idx, cat_idx, _ = model.request_arrays(req)
-        acc = model.acc_scores(model.user_index(req.user_id), item_idx,
-                               cat_idx)
+        acc = model.acc_scores(model.request_arrays(req))
         y = model.win_probabilities(req)
         ranked = fused_rank(model, req, K=4, gamma=0.2)
         fused = acc + 0.2 * y
         np.testing.assert_allclose(ranked.scores, fused[ranked.item_idx],
                                    atol=1e-12)
 
-    def test_each_request_decoded_once(self, trained_small, monkeypatch):
+    def test_each_request_decoded_once(self, trained_small, small_config,
+                                       monkeypatch):
+        """Every path decodes a request once, through
+        CDMModel.request_arrays, and draws its context pool at most once:
+        only when the student runs."""
+        import dataclasses
+        from collections import Counter
+
+        from divrank import distill, teacher
         from divrank.data import Dataset
         model, _, ds = trained_small
         req = ds.requests[2]
-        item_idx, cat_idx, _ = model.request_arrays(req)
-        acc = model.acc_scores(model.user_index(req.user_id), item_idx,
-                               cat_idx)
-        want = acc + 0.3 * model.win_probabilities(req)
-        calls, acc_calls = [], []
+        want = model.acc_scores(model.request_arrays(req)) \
+            + 0.3 * model.win_probabilities(req)
+        calls, acc_calls, pools = [], [], []
         decode = type(model).request_arrays
         monkeypatch.setattr(type(model), "request_arrays",
-                            lambda self, r: calls.append(r) or decode(self, r))
+                            lambda self, r: calls.append(r.request_id)
+                            or decode(self, r))
+        draw = distill.context_pool
+        monkeypatch.setattr(distill, "context_pool",
+                            lambda n, config, seed: pools.append((n, seed))
+                            or draw(n, config, seed))
         ranked = fused_rank(model, req, K=4, gamma=0.3)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(pools) == 1
         np.testing.assert_array_equal(ranked.scores, want[ranked.item_idx])
+        calls.clear()
+        pools.clear()
+        teacher.mmr_select(req, model, model.config.lam, 4)
+        ev.fused_scores(model, req, 0.0)
+        assert len(calls) == 2 and pools == []
         calls.clear()
         score = type(model).acc_scores
         monkeypatch.setattr(type(model), "acc_scores",
@@ -172,6 +184,14 @@ class TestModelEvaluation:
         ev.evaluate_model(model, three, Ks=[3, 5], gammas=[0.0, 0.1, 0.25])
         assert len(calls) == 3
         assert len(acc_calls) == 3
+        assert len(pools) == 3
+        # one training run: both splits decoded once, each pool drawn once
+        calls.clear()
+        pools.clear()
+        distill.train(ds, dataclasses.replace(small_config, joint_epochs=1))
+        assert Counter(calls) == Counter(r.request_id for r in ds.requests)
+        assert max(Counter(pools).values()) == 1
+        assert len(pools) == len(ds.requests)
 
     def test_reports_cover_grid(self, trained_small):
         model, _, ds = trained_small

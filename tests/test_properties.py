@@ -7,6 +7,7 @@ counted and uncounted, against a stable sort.
 import json
 import os
 import tempfile
+import zlib
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from divrank.backbone import TrainConfig
 from divrank.data import load_jsonl, save_jsonl
-from divrank.distill import CDMModel
+from divrank.distill import CDMModel, context_pool
 from divrank.evaluation import top_k_fused
 
 ITEMS = [f"i{j}" for j in range(40)]
@@ -56,7 +57,9 @@ def load_dicts(requests):
 
 def reference_arrays(model, request):
     """Per-candidate decoder: one item row, category row and label at a
-    time, through the model's id-to-row dictionaries."""
+    time, through the model's id-to-row dictionaries; then the user row
+    and the context pool, from the id lists and the pool-seed formula
+    that existing checkpoints were trained with."""
     n = len(request.candidates)
     item_idx = np.empty(n, dtype=np.int64)
     cat_idx = np.empty(n, dtype=np.int64)
@@ -66,7 +69,11 @@ def reference_arrays(model, request):
         cat_idx[j] = model._cat_row[model.item_category[cand.item_id]]
         if cand.label is not None:
             labels[j] = cand.label
-    return item_idx, cat_idx, labels
+    config = model.config
+    seed = (config.seed << 32) ^ zlib.crc32(request.request_id.encode())
+    return {"u_idx": model.user_ids.index(request.user_id),
+            "item_idx": item_idx, "cat_idx": cat_idx, "labels": labels,
+            "pool": context_pool(n, config, seed)}
 
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -115,16 +122,18 @@ def test_save_load_round_trip(requests):
 
 
 @SETTINGS
-@given(request_lists())
-def test_request_arrays_match_reference_decoder(requests):
+@given(request_lists(), st.integers(0, 2**31 - 1))
+def test_request_arrays_match_reference_decoder(requests, seed):
     ds = load_dicts(requests)
-    model = CDMModel.from_dataset(ds, TrainConfig(d=4))
+    # requests hold 2-30 candidates, so pools are both whole and subsampled
+    config = TrainConfig(d=4, k=2, max_context_pool=5, seed=seed).validate()
+    model = CDMModel.from_dataset(ds, config)
     for req in ds.requests:
         got = model.request_arrays(req)
-        want = reference_arrays(model, req)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+        for name, want in reference_arrays(model, req).items():
+            value = getattr(got, name)
+            assert np.asarray(value).dtype == np.asarray(want).dtype, name
+            np.testing.assert_array_equal(value, want, err_msg=name)
 
 
 # a small pool of values makes ties likely; 0.0 and -0.0 compare equal

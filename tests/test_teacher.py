@@ -32,11 +32,10 @@ def div_score(e_cand, selected_embs, u):
 
 def brute_force_best_subset(request, model, lam, K):
     """The exhaustive oracle's best subset of a Request, as item ids."""
-    item_idx, cat_idx, _ = model.request_arrays(request)
-    u_idx = model.user_index(request.user_id)
-    acc = model.acc_scores(u_idx, item_idx, cat_idx)
-    ew = model.params["item_emb"][item_idx] * model.params["user_emb"][u_idx]
-    subset, value = brute_force_core(acc, ew, lam, K)
+    rows = model.request_arrays(request)
+    ew = model.params["item_emb"][rows.item_idx] \
+        * model.params["user_emb"][rows.u_idx]
+    subset, value = brute_force_core(model.acc_scores(rows), ew, lam, K)
     return [request.item_ids[i] for i in subset], value
 
 
@@ -220,12 +219,10 @@ class TestRequestLevel:
         model, ds = small_model_and_data
         for req in ds.requests[:8]:
             lab = teacher.mmr_select(req, model, lam=0.5, K=6)
-            item_idx, cat_idx, _ = model.request_arrays(req)
-            u_idx = model.user_index(req.user_id)
-            acc = model.acc_scores(u_idx, item_idx, cat_idx)
-            ew = model.params["item_emb"][item_idx] \
-                * model.params["user_emb"][u_idx]
-            selected, gains = mmr_core(acc, ew, 0.5, 6)
+            rows = model.request_arrays(req)
+            ew = model.params["item_emb"][rows.item_idx] \
+                * model.params["user_emb"][rows.u_idx]
+            selected, gains = mmr_core(model.acc_scores(rows), ew, 0.5, 6)
             assert lab.winning_idx.tolist() == selected
             np.testing.assert_allclose(lab.gains, gains, rtol=0.0,
                                        atol=1e-12)
