@@ -432,14 +432,6 @@ def add_constant(a, c):
                    lambda g: (g,))
 
 
-def dropout(a, p: float, rng, training: bool):
-    if not training or p <= 0.0:
-        return a
-    a = _coerce(a)
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(keep))
-
-
 # ---------------------------------------------------------------------------
 # parameters
 

@@ -125,12 +125,12 @@ def init_backbone(params: ParamStore, n_items, n_cats, n_users, d, rng,
         params.add(name, np.zeros(shapes[name]))
 
 
-def score_logits(P, user_idx, item_idx, cat_idx, *, training=False,
-                 dropout=0.0, rng=None):
+def score_logits(P, user_idx, item_idx, cat_idx, keep=None):
     """Batched scorer logits on whatever tape P's tensors live on.
 
     P maps parameter name -> Tensor; index arrays are plain integer arrays.
     user_idx is one user row for every candidate or one row per candidate.
+    keep, if given, holds the multipliers of both hidden layers (dropout).
     """
     n = len(item_idx)
     eu = ad.gather_rows(P["user_emb"], np.broadcast_to(
@@ -139,9 +139,11 @@ def score_logits(P, user_idx, item_idx, cat_idx, *, training=False,
     ec = ad.gather_rows(P["cat_emb"], np.asarray(cat_idx, dtype=np.int64))
     x = ad.concat([eu, ei, ec, ad.mul(eu, ei), ad.mul(eu, ec)], axis=1)
     h = ad.relu(ad.add(ad.matmul(x, P["mlp_w1"]), P["mlp_b1"]))
-    h = ad.dropout(h, dropout, rng, training)
+    if keep is not None:
+        h = ad.mul(h, keep[0])
     h = ad.relu(ad.add(ad.matmul(h, P["mlp_w2"]), P["mlp_b2"]))
-    h = ad.dropout(h, dropout, rng, training)
+    if keep is not None:
+        h = ad.mul(h, keep[1])
     z = ad.add(ad.matmul(h, P["mlp_w3"]), P["mlp_b3"])
     return ad.reshape(z, (n,))
 

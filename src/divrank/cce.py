@@ -1,6 +1,7 @@
 """Contrastive context encoder: target attention over the context pool,
-positive/negative context sampling into dense pooling weights (attention
-and anti-attention), InfoNCE separation and user interest-aware fusion.
+Gumbel-Top-k sampling of positive/negative contexts into dense pooling
+weights (attention and anti-attention), InfoNCE separation and user
+interest-aware fusion.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .sampler import perturb
 
 MASK_VALUE = -1e30  # additive mask; keeps a column out of every top-k pick
+U_CLAMP = 1e-12
 
 
 def param_shapes(d: int) -> dict:
@@ -32,6 +33,12 @@ def init_cce(params: ParamStore, d: int, rng):
         lim = math.sqrt(6.0 / sum(shape))
         params.add(name, np.zeros(shape) if len(shape) == 1
                    else rng.uniform(-lim, lim, size=shape))
+
+
+def gumbel_noise(u):
+    """g = -log(-log(u)) for uniform u, clamped away from {0, 1}."""
+    u = np.clip(np.asarray(u, dtype=np.float64), U_CLAMP, 1.0 - U_CLAMP)
+    return -np.log(-np.log(u))
 
 
 def _offsets(n_rows, n_pool, segments):
@@ -61,7 +68,7 @@ def attention_scores_all(P, q: Tensor, E_pool: Tensor,
 
 
 def sample_contexts(w: Tensor, mask, k: int,
-                    rng=None) -> tuple[Tensor, Tensor]:
+                    u=None) -> tuple[Tensor, Tensor]:
     """Gumbel-Top-k draws of a positive set (high attention) and a negative
     set (negated attention), with independent noise per side, returned as
     (positive, negative) dense (N, |pool|) pooling weights.
@@ -77,6 +84,9 @@ def sample_contexts(w: Tensor, mask, k: int,
     are not forced disjoint. Scores tied at a side's k-th largest value
     are all picked; with noise on, ties have probability 0.
 
+    u holds the two sides' uniforms, each of w's shape, and each side's
+    noise is g = gumbel_noise(u[side]); u=None means zero noise.
+
     The noise goes onto the scores directly rather than onto their
     log-softmax: the two differ by a per-row constant, which changes
     neither the picks nor the softmax over them.
@@ -84,8 +94,10 @@ def sample_contexts(w: Tensor, mask, k: int,
     n = w.data.shape[-1]
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
-    x_pos = perturb(w, rng)
-    x_neg = perturb(ad.neg(w), rng)
+    x_pos, x_neg = w, ad.neg(w)
+    if u is not None:
+        x_pos = ad.add_constant(x_pos, gumbel_noise(u[0]))
+        x_neg = ad.add_constant(x_neg, gumbel_noise(u[1]))
     return (ad.softmax(x_pos, keep=_top_k(x_pos.data + mask, k)),
             ad.softmax(ad.neg(x_neg), keep=_top_k(x_neg.data + mask, k)))
 
@@ -107,10 +119,11 @@ def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,
     return ad.weighted_mean(ad.softplus(margin), weights)
 
 
-def fuse_context(u, c_pos: Tensor, c_neg: Tensor, P, *, training=False,
-                 dropout=0.0, rng=None) -> Tensor:
-    """FFN over the user-gated contexts: C = FFN(concat(u*C+, u*C-))."""
+def fuse_context(u, c_pos: Tensor, c_neg: Tensor, P, keep=None) -> Tensor:
+    """FFN over the user-gated contexts: C = FFN(concat(u*C+, u*C-)).
+    keep, if given, multiplies the hidden layer (dropout)."""
     x = ad.concat([ad.mul(u, c_pos), ad.mul(u, c_neg)], axis=-1)
     h = ad.relu(ad.add(ad.matmul(x, P["ffn_w1"]), P["ffn_b1"]))
-    h = ad.dropout(h, dropout, rng, training)
+    if keep is not None:
+        h = ad.mul(h, keep)
     return ad.add(ad.matmul(h, P["ffn_w2"]), P["ffn_b2"])

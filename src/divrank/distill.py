@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -229,49 +230,39 @@ def _kd_from_logits(z: Tensor, y_tea, weights=None) -> Tensor:
     return ad.weighted_mean(terms, weights)
 
 
-class _StackedDraws:
-    """Stands in for the generator inside one batched step: call i of
-    random() returns block i, the uniforms that every request of the batch
-    would have drawn at that call on its own, stacked along rows."""
-
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-
-    def random(self, shape):
-        block = next(self._blocks)
-        if block.shape != tuple(shape):
-            raise ad.ShapeError(f"pre-drawn block {block.shape} != {shape}")
-        return block
-
-
 def _draw_noise(rng, row_off, n_shown, ms, config):
-    """Each request's uniforms in the order a one-request batch draws them
-    (MLP dropout x2; with context pools ms, Gumbel for the positive and
-    negative sides and FFN dropout), stacked per draw; Gumbel blocks are
-    padded to the widest pool."""
+    """One training step's noise, drawn from rng in the order a loop over
+    the batch's requests draws it: per request, MLP dropout for both
+    layers over its shown rows, then, with context pools ms, Gumbel
+    uniforms for the positive and the negative side and FFN dropout.
+
+    Returns (mlp, gumbel, ffn): the keep multipliers (u >= p) / (1 - p)
+    of both MLP layers, stacked over requests; both sides' (2, N, widest
+    pool) uniforms, padded with 0.5; the FFN keep multipliers. Each is
+    None when its noise is off.
+    """
+    p = config.dropout
     h1, h2 = bb.hidden_sizes(config.d)
-    drop = config.dropout > 0.0
     mlp1, mlp2, ffn = [], [], []
-    if ms is not None:
-        gumbel = np.full((2, row_off[-1], max(ms)), 0.5)
+    gumbel = None if ms is None else np.full((2, row_off[-1], max(ms)), 0.5)
     for r, (a, b) in enumerate(zip(row_off[:-1], row_off[1:])):
-        if drop and n_shown[r] > 0:
+        if p > 0.0 and n_shown[r] > 0:
             mlp1.append(rng.random((n_shown[r], h1)))
             mlp2.append(rng.random((n_shown[r], h2)))
         if ms is not None:
             for side in gumbel:
                 side[a:b, :ms[r]] = rng.random((b - a, ms[r]))
-            if drop:
+            if p > 0.0:
                 ffn.append(rng.random((b - a, 2 * config.d)))
-    blocks = [np.concatenate(p) for p in (mlp1, mlp2) if p]
-    if ms is not None:
-        blocks += [gumbel[0], gumbel[1]] + ([np.concatenate(ffn)] if drop
-                                            else [])
-    return _StackedDraws(blocks)
+
+    def keep(draws):
+        return (np.concatenate(draws) >= p) / (1.0 - p) if draws else None
+
+    mlp = (keep(mlp1), keep(mlp2)) if mlp1 else None
+    return mlp, gumbel, keep(ffn)
 
 
-def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
-               training=False):
+def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None):
     """Joint loss of a batch of requests as one block on P's tape.
 
     batch holds one RequestRows per request and y_teas its teacher
@@ -284,12 +275,14 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
     The loss and each component are the mean over requests of that
     request's own mean: rows are weighted 1/(B*n_r), BCE covers only
     shown rows, and a request with no shown rows adds 0 to the BCE.
-    Training draws each request's noise in request order, so a batch uses
-    the random numbers a loop over its requests would.
+
+    Training passes rng: _draw_noise draws the step's Gumbel uniforms and
+    dropout keeps from it, each request's in request order, so a batch
+    uses the random numbers a loop over its requests would. rng=None
+    (validation) turns both Gumbel noise and dropout off.
 
     Returns (total, components dict of Tensors); z_stu holds the student
-    logits of all rows. rng=None disables both Gumbel noise and dropout
-    regardless of the training flag.
+    logits of all rows.
     """
     B = len(batch)
     joint = y_teas is not None
@@ -307,17 +300,16 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
         if 2 * config.k > ms.min() - 1:
             raise ad.DomainError(
                 f"2k={2 * config.k} exceeds usable pool {ms.min() - 1}")
-    draws = None
-    if training and rng is not None:
-        draws = _draw_noise(rng, row_off, n_shown, ms, config)
-    drop = config.dropout if draws is not None else 0.0
+    mlp_keep = gumbel_u = ffn_keep = None
+    if rng is not None:
+        mlp_keep, gumbel_u, ffn_keep = _draw_noise(rng, row_off, n_shown, ms,
+                                                   config)
 
     components = {}
     if shown.size > 0:
         f_shown = ad.sigmoid(bb.score_logits(
             P, users[shown], items[shown],
-            np.concatenate([r.cat_idx for r in batch])[shown],
-            training=training, dropout=drop, rng=draws))
+            np.concatenate([r.cat_idx for r in batch])[shown], mlp_keep))
         weights = 1.0 / (B * np.repeat(n_shown, n_shown))
         loss_bce = bb.bce_loss(f_shown, labels[shown], weights)
     else:
@@ -341,7 +333,7 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
                     cce.MASK_VALUE)
     pool_cols = np.arange(len(pool_rows)) - np.repeat(pool_off[:-1], ms)
     mask[pool_rows, pool_cols] = cce.MASK_VALUE
-    a_pos, a_neg = cce.sample_contexts(w, mask, config.k, draws)
+    a_pos, a_neg = cce.sample_contexts(w, mask, config.k, gumbel_u)
     values = ad.matmul(E_pool, P["cce_w3"])
     c_pos = ad.segment_matmul(a_pos, values, *segments)
     c_neg = ad.segment_matmul(a_neg, values, *segments)
@@ -351,8 +343,7 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None,
     components["infonce"] = loss_nce
 
     u_rows = ad.gather_rows(P["user_emb"], users)
-    c_fused = cce.fuse_context(u_rows, c_pos, c_neg, P, training=training,
-                               dropout=drop, rng=draws)
+    c_fused = cce.fuse_context(u_rows, c_pos, c_neg, P, ffn_keep)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
     loss_kd = _kd_from_logits(z, np.concatenate(y_teas), row_w)
     components["kd"] = loss_kd
@@ -413,8 +404,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
                 continue
             tape = ad.Tape()
             P = model.params.leaves(tape)
-            loss, _ = batch_loss(P, batch, None, config, rng=rng,
-                                 training=True)
+            loss, _ = batch_loss(P, batch, None, config, rng=rng)
             check_finite(loss.item(), epoch, step)
             tape.backward(loss)
             model.params.sgd_step(P, config.lr)
@@ -438,8 +428,7 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
             P = model.params.leaves(tape)
             loss, comps = batch_loss(
                 P, [train_rows[i] for i in batch],
-                [train_labels[i] for i in batch], config, rng=rng,
-                training=True)
+                [train_labels[i] for i in batch], config, rng=rng)
             check_finite(loss.item(), epoch, step)
             tape.backward(loss)
             model.params.sgd_step(P, config.lr)
@@ -573,6 +562,20 @@ def load_checkpoint(path) -> CDMModel:
     with open(os.path.join(path, "weights.bin"), "rb") as fh:
         blob = fh.read()
 
+    # each id names one row, and every item's category has a row
+    item_categories = dict(vocab["items"])
+    for field, ids in (("item", [iid for iid, _ in vocab["items"]]),
+                       ("category", vocab["categories"]),
+                       ("user", vocab["users"])):
+        twice = [i for i, count in Counter(ids).items() if count > 1]
+        if twice:
+            raise CheckpointError(
+                f"vocab.json lists {field} ids more than once: {twice}")
+    unknown = set(item_categories.values()) - set(vocab["categories"])
+    if unknown:
+        raise CheckpointError(
+            f"vocab.json items name unknown categories: {sorted(unknown)}")
+
     tensors = manifest["tensors"]
     # every table must fit the vocabulary and width the model will index
     expected = {**bb.param_shapes(len(vocab["items"]),
@@ -610,6 +613,5 @@ def load_checkpoint(path) -> CDMModel:
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
 
-    item_categories = {iid: cat for iid, cat in vocab["items"]}
     return CDMModel(config, item_categories, vocab["categories"],
                     vocab["users"], params=params)

@@ -7,7 +7,10 @@ batch loss is the mean of the per-request losses. Contexts are selected
 the way training did before it pooled through dense weights: an argsort
 of the masked perturbed scores gives each side's k picks, their scores
 are gathered on the tape for a k-wide softmax, and the sampled value rows
-are gathered before pooling.
+are gathered before pooling. Each request draws its own noise from the
+generator, in the order the per-request ops consume it: MLP dropout for
+both layers, Gumbel uniforms for the positive and then the negative
+side, and FFN dropout.
 """
 
 import math
@@ -18,7 +21,6 @@ from divrank import autodiff as ad
 from divrank import backbone as bb
 from divrank import cce
 from divrank.autodiff import Tensor
-from divrank.sampler import perturb
 
 
 def transpose(a):
@@ -36,6 +38,19 @@ def hard_topk(values, k):
     if k > n:
         raise ad.DomainError(f"k={k} exceeds n={n}")
     return np.argsort(values, axis=-1)[..., :-k - 1:-1]
+
+
+def dropout_keep(rng, shape, p):
+    """Dropout multipliers of one layer, or None when dropout is off."""
+    return (rng.random(shape) >= p) / (1.0 - p) if p > 0.0 else None
+
+
+def mlp_keep(rng, n, config):
+    """Both MLP layers' dropout multipliers for n rows, or None."""
+    if config.dropout <= 0.0:
+        return None
+    return tuple(dropout_keep(rng, (n, h), config.dropout)
+                 for h in bb.hidden_sizes(config.d))
 
 
 def take_per_row(a, idx):
@@ -56,10 +71,14 @@ def take_per_row(a, idx):
 def sample_contexts(w, mask, k, rng=None):
     """(pos_idx, w_pos, neg_idx, w_neg): each side's k pool columns and
     its perturbed scores gathered there. The mask is added before the
-    noise, and the two sides draw their noise in the order
-    cce.sample_contexts does."""
-    w_pos = perturb(ad.add_constant(w, mask), rng)
-    w_neg = perturb(ad.add_constant(ad.neg(w), mask), rng)
+    noise; the positive side draws its uniforms first."""
+    w_pos = ad.add_constant(w, mask)
+    w_neg = ad.add_constant(ad.neg(w), mask)
+    if rng is not None:
+        w_pos = ad.add_constant(w_pos, cce.gumbel_noise(
+            rng.random(w_pos.data.shape)))
+        w_neg = ad.add_constant(w_neg, cce.gumbel_noise(
+            rng.random(w_neg.data.shape)))
     pos_idx = hard_topk(w_pos.data, k)
     neg_idx = hard_topk(w_neg.data, k)
     return (pos_idx, take_per_row(w_pos, pos_idx),
@@ -72,22 +91,20 @@ def _pool(weights, values):
     return ad.tsum(ad.mul(w3, values), axis=-2)
 
 
-def request_loss(P, rows, y_tea, config, rng=None, training=False):
+def request_loss(P, rows, y_tea, config, rng=None):
     """(total, components) of one request (distill.RequestRows) over its
-    context pool."""
+    context pool; rng=None turns noise and dropout off."""
     u_idx, item_idx, cat_idx, labels, pool = (
         rows.u_idx, rows.item_idx, rows.cat_idx, rows.labels, rows.pool)
     n = len(item_idx)
     m = len(pool)
-    noise_rng = rng if training else None
-    drop = config.dropout if (training and rng is not None) else 0.0
 
     components = {}
     shown = np.flatnonzero(labels >= 0)
     if shown.size > 0:
+        keep = None if rng is None else mlp_keep(rng, shown.size, config)
         f_shown = ad.sigmoid(bb.score_logits(
-            P, u_idx, item_idx[shown], cat_idx[shown],
-            training=training, dropout=drop, rng=rng))
+            P, u_idx, item_idx[shown], cat_idx[shown], keep))
         loss_bce = bb.bce_loss(f_shown, labels[shown])
     else:
         loss_bce = Tensor(0.0)
@@ -101,8 +118,7 @@ def request_loss(P, rows, y_tea, config, rng=None, training=False):
                  1.0 / math.sqrt(d))
     mask = np.zeros((n, m))
     mask[pool, np.arange(m)] = cce.MASK_VALUE
-    pos_idx, w_pos, neg_idx, w_neg = sample_contexts(w, mask, config.k,
-                                                     noise_rng)
+    pos_idx, w_pos, neg_idx, w_neg = sample_contexts(w, mask, config.k, rng)
     values = ad.matmul(E_pool, P["cce_w3"])
     c_pos = _pool(ad.softmax(w_pos), ad.gather_rows(values, pos_idx))
     c_neg = _pool(ad.softmax(ad.neg(w_neg)), ad.gather_rows(values, neg_idx))
@@ -112,8 +128,9 @@ def request_loss(P, rows, y_tea, config, rng=None, training=False):
     components["infonce"] = loss_nce
 
     u_row = ad.gather_rows(P["user_emb"], np.asarray([u_idx], dtype=np.int64))
-    c_fused = cce.fuse_context(u_row, c_pos, c_neg, P, training=training,
-                               dropout=drop, rng=rng)
+    keep = None if rng is None else dropout_keep(rng, (n, 2 * d),
+                                                 config.dropout)
+    c_fused = cce.fuse_context(u_row, c_pos, c_neg, P, keep)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
     loss_kd = ad.tmean(ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z)))
     components["kd"] = loss_kd
@@ -131,8 +148,7 @@ def joint_step(params, batch, y_teas, config, rng):
     P = params.leaves(tape)
     loss = None
     for rows, y_tea in zip(batch, y_teas):
-        total, _ = request_loss(P, rows, y_tea, config, rng=rng,
-                                training=True)
+        total, _ = request_loss(P, rows, y_tea, config, rng=rng)
         loss = total if loss is None else ad.add(loss, total)
     loss = ad.scale(loss, 1.0 / len(batch))
     tape.backward(loss)
@@ -151,7 +167,7 @@ def warmup_step(params, batch, config, rng):
             continue
         f = ad.sigmoid(bb.score_logits(
             P, rows.u_idx, rows.item_idx[shown], rows.cat_idx[shown],
-            training=True, dropout=config.dropout, rng=rng))
+            mlp_keep(rng, shown.size, config)))
         terms.append(bb.bce_loss(f, rows.labels[shown]))
     loss = terms[0]
     for t in terms[1:]:

@@ -15,10 +15,10 @@ import pytest
 from scipy.special import expit
 
 from divrank import backbone as bb
+from divrank import cce
 from divrank import data
 from divrank import distill
 from divrank import evaluation as ev
-from divrank import sampler
 from divrank import teacher as teach
 from divrank.autodiff import Tensor
 
@@ -170,7 +170,7 @@ class TestPlackettLuce:
         n, k, draws = 4, 2, 200_000
         rng = np.random.default_rng(SEED + 3)
         u = rng.random((draws, n))
-        pert = logits + sampler.gumbel_noise(u)
+        pert = logits + cce.gumbel_noise(u)
         top2 = np.argsort(-pert, axis=1)[:, :2]
         keys = np.min(top2, axis=1) * n + np.max(top2, axis=1)
 
@@ -185,7 +185,7 @@ class TestPlackettLuce:
         logits = np.log(probs)
         draws = 200_000
         rng = np.random.default_rng(SEED + 4)
-        pert = logits + sampler.gumbel_noise(rng.random((draws, 3)))
+        pert = logits + cce.gumbel_noise(rng.random((draws, 3)))
         top2 = np.argsort(-pert, axis=1)[:, :2]
         for a, b in itertools.permutations(range(3), 2):
             expected = probs[a] * probs[b] / (1 - probs[a])

@@ -285,20 +285,6 @@ class TestGathers:
         np.testing.assert_allclose(x.grad, np.ones(4))
 
 
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = Tensor(RNG.standard_normal(10))
-        assert ad.dropout(x, 0.5, None, training=False) is x
-
-    def test_training_scales_kept_units(self):
-        tape = Tape()
-        x = tape.leaf(np.ones(10000))
-        out = ad.dropout(x, 0.25, np.random.default_rng(0), training=True)
-        kept = out.data != 0.0
-        np.testing.assert_allclose(out.data[kept], 1.0 / 0.75)
-        assert abs(kept.mean() - 0.75) < 0.02
-
-
 class TestTapeLifecycle:
     def test_backward_twice_fails(self):
         tape = Tape()

@@ -88,6 +88,25 @@ class TestScoring:
         fast_out = bb.score_all_detached(params, 2, item_idx, cat_idx)
         np.testing.assert_allclose(fast_out, tape_out, atol=1e-12)
 
+    def test_keep_multiplies_both_hidden_layers(self):
+        params = make_params()
+        P = {n: Tensor(v) for n, v in params.items()}
+        item_idx, cat_idx = [0, 3, 7, 8], [0, 1, 2, 0]
+        rng = np.random.default_rng(3)
+        keep = [(rng.random((4, h)) >= 0.5) / 0.5
+                for h in bb.hidden_sizes(6)]
+        eu = params["user_emb"][[2] * 4]
+        ei = params["item_emb"][item_idx]
+        ec = params["cat_emb"][cat_idx]
+        h = np.concatenate([eu, ei, ec, eu * ei, eu * ec], axis=1)
+        for layer in (1, 2):
+            h = np.maximum(h @ params[f"mlp_w{layer}"]
+                           + params[f"mlp_b{layer}"], 0.0) * keep[layer - 1]
+        want = (h @ params["mlp_w3"] + params["mlp_b3"])[:, 0]
+        np.testing.assert_allclose(
+            bb.score_logits(P, 2, item_idx, cat_idx, keep).data, want,
+            rtol=0.0, atol=1e-12)
+
     def test_gradient_reaches_all_parameters(self):
         params = make_params()
         tape = Tape()

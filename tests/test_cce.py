@@ -1,6 +1,6 @@
-"""Context encoder: attention scores, self-masking, positive/negative
-sampling into dense pooling weights, the two-term InfoNCE and the fusion
-head.
+"""Context encoder: Gumbel noise, attention scores, self-masking,
+positive/negative sampling into dense pooling weights, the two-term
+InfoNCE and the fusion head.
 """
 
 import math
@@ -11,11 +11,12 @@ import pytest
 from divrank import autodiff as ad
 from divrank import cce
 from divrank.autodiff import DomainError, ParamStore, Tape, Tensor
-from divrank.cce import (attention_scores_all, fuse_context, infonce_loss,
-                         init_cce, sample_contexts)
-from divrank.sampler import gumbel_noise
+from divrank.cce import (_top_k, attention_scores_all, fuse_context,
+                         gumbel_noise, infonce_loss, init_cce,
+                         sample_contexts)
 
 from gradcheck import grad_check
+from loop_oracle import hard_topk
 
 RNG = np.random.default_rng(31)
 
@@ -33,6 +34,60 @@ def make_P(d=6, seed=0, tape=None):
     if tape is None:
         return params, {n: Tensor(v) for n, v in params.items()}
     return params, params.leaves(tape)
+
+
+class TestGumbelNoise:
+    def test_transform_matches_definition(self):
+        u = np.array([0.1, 0.5, 0.9])
+        np.testing.assert_allclose(gumbel_noise(u), -np.log(-np.log(u)))
+
+    def test_extreme_uniforms_stay_finite(self):
+        g = gumbel_noise(np.array([0.0, 1.0, 1e-300]))
+        assert np.all(np.isfinite(g))
+
+    def test_moments_match_gumbel(self):
+        g = gumbel_noise(np.random.default_rng(0).random(200_000))
+        euler = 0.5772156649
+        assert abs(g.mean() - euler) < 0.01
+        assert abs(g.var() - np.pi ** 2 / 6) < 0.02
+
+
+class TestHardTopk:
+    """The reference argsort picks (loop_oracle.hard_topk) and the
+    threshold picks training makes (cce._top_k) select the same columns."""
+
+    def test_ordered_by_value(self):
+        v = np.array([0.1, 0.9, 0.5, 0.7])
+        assert hard_topk(v, 3).tolist() == [1, 3, 2]
+        assert np.flatnonzero(_top_k(v[None], 3)[0]).tolist() == [1, 2, 3]
+
+    def test_k_equals_n(self):
+        v = RNG.standard_normal(6)
+        assert hard_topk(v, 6).tolist() == np.argsort(-v).tolist()
+        assert _top_k(v[None], 6).all()
+
+    def test_batched_rows_independent(self):
+        v = RNG.standard_normal((10, 8))
+        idx = hard_topk(v, 3)
+        picks = _top_k(v, 3)
+        for r in range(10):
+            assert idx[r].tolist() == np.argsort(-v[r])[:3].tolist()
+            assert np.flatnonzero(picks[r]).tolist() == sorted(idx[r])
+
+    def test_k_too_large(self):
+        with pytest.raises(DomainError):
+            hard_topk(np.ones(3), 4)
+
+
+class TestSampleFrequencies:
+    def test_top1_matches_softmax_probabilities(self):
+        # Gumbel argmax draws follow the softmax of the logits
+        logits = np.log(np.array([0.5, 0.3, 0.2]))
+        draws = 50_000
+        u = np.random.default_rng(5).random((draws, 3))
+        top1 = np.argmax(logits + gumbel_noise(u), axis=1)
+        np.testing.assert_allclose(np.bincount(top1, minlength=3) / draws,
+                                   [0.5, 0.3, 0.2], atol=0.01)
 
 
 class TestAttentionScores:
@@ -81,7 +136,7 @@ class TestSampleContexts:
             cce.MASK_VALUE
         rng = np.random.default_rng(0)
         for _ in range(30):
-            for a in sample_contexts(w, mask, k, rng):
+            for a in sample_contexts(w, mask, k, rng.random((2, 14, 9))):
                 assert a.data.shape == (14, 9)
                 np.testing.assert_array_equal(
                     np.count_nonzero(a.data, axis=1), k)
@@ -98,7 +153,8 @@ class TestSampleContexts:
                                  Tensor(E[pool]))
         rng = np.random.default_rng(0)
         for _ in range(30):
-            for a in sample_contexts(w, self_mask(n, pool), k, rng):
+            for a in sample_contexts(w, self_mask(n, pool), k,
+                                     rng.random((2, n, len(pool)))):
                 for i in range(n):
                     assert i not in pool[a.data[i] != 0.0]
 
@@ -109,11 +165,11 @@ class TestSampleContexts:
         n, k = 7, 3
         w = RNG.standard_normal((n, n))
         mask = self_mask(n, np.arange(n))
-        a_pos, a_neg = sample_contexts(Tensor(w), mask, k,
-                                       np.random.default_rng(4))
-        replay = np.random.default_rng(4)
-        for a, x, sign in ((a_pos, w, 1.0), (a_neg, -w, -1.0)):
-            x = x + gumbel_noise(replay.random((n, n)))
+        u = np.random.default_rng(4).random((2, n, n))
+        a_pos, a_neg = sample_contexts(Tensor(w), mask, k, u)
+        for a, x, sign, side in ((a_pos, w, 1.0, u[0]),
+                                 (a_neg, -w, -1.0, u[1])):
+            x = x + gumbel_noise(side)
             for i in range(n):
                 picks = np.argsort(x[i] + mask[i])[-k:]
                 e = np.exp(sign * x[i, picks])
@@ -121,6 +177,45 @@ class TestSampleContexts:
                 want[picks] = e / e.sum()
                 np.testing.assert_allclose(a.data[i], want, rtol=0.0,
                                            atol=1e-12)
+
+    def test_no_uniforms_is_noise_free(self):
+        # u=None: each side is the softmax of w over its k largest (or
+        # smallest) scores
+        n, k = 7, 3
+        w = RNG.standard_normal((n, n))
+        mask = self_mask(n, np.arange(n))
+        a_pos, a_neg = sample_contexts(Tensor(w), mask, k)
+        for a, x in ((a_pos, w), (a_neg, -w)):
+            for i in range(n):
+                picks = np.argsort(x[i] + mask[i])[-k:]
+                e = np.exp(w[i, picks])
+                want = np.zeros(n)
+                want[picks] = e / e.sum()
+                np.testing.assert_allclose(a.data[i], want, rtol=0.0,
+                                           atol=1e-12)
+
+    def test_noise_added_and_grad_passes_through(self):
+        # the noise is a constant shift: the noisy weights, and their
+        # gradient, are those of noise-free sampling at w + g (positive
+        # side) and w - g' (negative side)
+        n, k = 8, 2
+        mask = self_mask(n, np.arange(n))
+        w0 = RNG.standard_normal((n, n))
+        u = np.random.default_rng(6).random((2, n, n))
+        m = RNG.standard_normal((n, n))
+        shifted = (w0 + gumbel_noise(u[0]), w0 - gumbel_noise(u[1]))
+        for side in (0, 1):
+            tape, ref_tape = Tape(), Tape()
+            w, x = tape.leaf(w0), ref_tape.leaf(shifted[side])
+            a = sample_contexts(w, mask, k, u)[side]
+            ref = sample_contexts(x, mask, k)[side]
+            assert not np.allclose(
+                a.data, sample_contexts(Tensor(w0), mask, k)[side].data)
+            np.testing.assert_allclose(a.data, ref.data, rtol=0.0,
+                                       atol=1e-12)
+            tape.backward(ad.tsum(ad.mul(a, m)))
+            ref_tape.backward(ad.tsum(ad.mul(ref, m)))
+            np.testing.assert_allclose(w.grad, x.grad, rtol=0.0, atol=1e-12)
 
     def test_zero_noise_picks_extremes(self):
         w = Tensor(np.array([[0.0, 3.0, 1.0, -2.0],
@@ -150,8 +245,8 @@ class TestSampleContexts:
         m = RNG.standard_normal((2, 6, 6))
 
         def f(leaf):
-            a_pos, a_neg = sample_contexts(leaf, mask, 2,
-                                           np.random.default_rng(3))
+            a_pos, a_neg = sample_contexts(
+                leaf, mask, 2, np.random.default_rng(3).random((2, 6, 6)))
             return ad.add(ad.tsum(ad.mul(a_pos, m[0])),
                           ad.tsum(ad.mul(a_neg, m[1])))
 
@@ -162,8 +257,9 @@ class TestSampleContexts:
         params, P = make_P(6, tape=tape)
         E = Tensor(RNG.standard_normal((10, 6)))
         w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
-        a_pos, a_neg = sample_contexts(w, self_mask(10, np.arange(10)), 2,
-                                       np.random.default_rng(1))
+        a_pos, a_neg = sample_contexts(
+            w, self_mask(10, np.arange(10)), 2,
+            np.random.default_rng(1).random((2, 10, 10)))
         m = RNG.standard_normal((10, 10))
         tape.backward(ad.tsum(ad.mul(ad.add(a_pos, a_neg), m)))
         assert np.abs(P["cce_w1"].grad).max() > 0.0
@@ -204,7 +300,7 @@ class TestPooling:
         V = RNG.standard_normal((8, 4))
         segments = ([0, 2, 5], [0, 3, 8])
         for a in sample_contexts(Tensor(w), mask, 2,
-                                 np.random.default_rng(2)):
+                                 np.random.default_rng(2).random((2, 5, 5))):
             np.testing.assert_array_equal(a.data[:2, 3:], 0.0)
             out = ad.segment_matmul(a, Tensor(V), *segments).data
             np.testing.assert_allclose(out[:2], a.data[:2, :3] @ V[:3],
@@ -219,14 +315,15 @@ class TestPooling:
         segments = ([0, 6], [0, 6])
 
         def f(leaf):
-            a_pos, _ = sample_contexts(leaf, mask, 2,
-                                       np.random.default_rng(3))
+            a_pos, _ = sample_contexts(
+                leaf, mask, 2, np.random.default_rng(3).random((2, 6, 6)))
             return ad.tsum(ad.mul(
                 ad.segment_matmul(a_pos, Tensor(V), *segments), m))
 
         assert grad_check(f, RNG.standard_normal((6, 6))) < 1e-6
         _, a_neg = sample_contexts(Tensor(RNG.standard_normal((6, 6))), mask,
-                                   2, np.random.default_rng(3))
+                                   2, np.random.default_rng(3).random(
+                                       (2, 6, 6)))
         assert grad_check(lambda leaf: ad.tsum(ad.mul(
             ad.segment_matmul(a_neg, leaf, *segments), m)), V) < 1e-6
 
@@ -298,15 +395,24 @@ class TestFusion:
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_dropout_only_in_training(self):
+        # evaluation passes no keep multipliers; training's multiply the
+        # hidden layer
         d = 6
-        _, P = make_P(d)
-        u = Tensor(RNG.standard_normal((1, d)))
-        cp = Tensor(RNG.standard_normal((5, d)))
-        cn = Tensor(RNG.standard_normal((5, d)))
-        eval_out = fuse_context(u, cp, cn, P, training=False, dropout=0.5,
-                                rng=np.random.default_rng(0)).data
-        train_out = fuse_context(u, cp, cn, P, training=True, dropout=0.5,
-                                 rng=np.random.default_rng(0)).data
+        params, P = make_P(d)
+        u = RNG.standard_normal((1, d))
+        cp = RNG.standard_normal((5, d))
+        cn = RNG.standard_normal((5, d))
+        keep = (np.random.default_rng(0).random((5, 2 * d)) >= 0.5) / 0.5
+        eval_out = fuse_context(Tensor(u), Tensor(cp), Tensor(cn), P).data
+        train_out = fuse_context(Tensor(u), Tensor(cp), Tensor(cn), P,
+                                 keep).data
+        h = np.maximum(np.concatenate([u * cp, u * cn], axis=1)
+                       @ params["ffn_w1"] + params["ffn_b1"], 0.0)
+        np.testing.assert_allclose(
+            eval_out, h @ params["ffn_w2"] + params["ffn_b2"], atol=1e-12)
+        np.testing.assert_allclose(
+            train_out, (h * keep) @ params["ffn_w2"] + params["ffn_b2"],
+            atol=1e-12)
         assert not np.allclose(eval_out, train_out)
 
     def test_grad_reaches_all_ffn_params(self):

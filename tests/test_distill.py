@@ -108,7 +108,7 @@ class TestLosses:
         y_tea = teach.mmr_select(req, model, model.config.lam, 5).y_tea
         total, _ = distill.batch_loss(
             P, [model.request_arrays(req)], [y_tea], model.config,
-            rng=np.random.default_rng(0), training=True)
+            rng=np.random.default_rng(0))
         tape.backward(total)
         for name in distill.ALL_PARAM_NAMES:
             assert np.abs(P[name].grad).max() > 0.0, name
@@ -264,8 +264,9 @@ class TestBatchedStep:
                 np.concatenate([c["z_stu"].data for _, c in losses]),
                 rtol=0.0, atol=1e-12)
 
-    def test_training_step_matches_per_request_loop(self):
-        config = self.config()
+    @pytest.mark.parametrize("dropout", [0.25, 0.0])
+    def test_training_step_matches_per_request_loop(self, dropout):
+        config = dataclasses.replace(self.config(), dropout=dropout)
         params, batch, y_teas = self.ragged_batch(config)
         oracle, batched = params.copy(), params.copy()
         rng_o, rng_b = np.random.default_rng(7), np.random.default_rng(7)
@@ -274,8 +275,7 @@ class TestBatchedStep:
             want = loop_oracle.warmup_step(oracle, shown, config, rng_o)
             tape = ad.Tape()
             P = batched.leaves(tape)
-            loss, _ = distill.batch_loss(P, shown, None, config, rng=rng_b,
-                                         training=True)
+            loss, _ = distill.batch_loss(P, shown, None, config, rng=rng_b)
             tape.backward(loss)
             batched.sgd_step(P, config.lr)
             assert loss.item() == pytest.approx(want, abs=1e-12)
@@ -283,8 +283,7 @@ class TestBatchedStep:
             want = loop_oracle.joint_step(oracle, batch, y_teas, config, rng_o)
             tape = ad.Tape()
             P = batched.leaves(tape)
-            loss, _ = distill.batch_loss(P, batch, y_teas, config, rng=rng_b,
-                                         training=True)
+            loss, _ = distill.batch_loss(P, batch, y_teas, config, rng=rng_b)
             tape.backward(loss)
             batched.sgd_step(P, config.lr)
             assert loss.item() == pytest.approx(want, abs=1e-12)
@@ -336,6 +335,34 @@ class TestBatchedStep:
         assert h1 == h2
         for name in m1.params.names():
             assert m1.params[name].tobytes() == m2.params[name].tobytes()
+
+
+class TestDropout:
+    """Dropout is data: _draw_noise turns uniforms into the keep
+    multipliers (u >= p) / (1 - p) that batch_loss hands to the scorer
+    and the fusion head."""
+
+    @staticmethod
+    def draw(dropout, n=2500, m=20):
+        config = TrainConfig(d=4, dropout=dropout)
+        return distill._draw_noise(np.random.default_rng(0), np.array([0, n]),
+                                   np.array([n]), np.array([m]), config)
+
+    def test_eval_mode_is_identity(self):
+        # at dropout 0 no keep multipliers are drawn, so the scorer and
+        # the fusion head run unmasked; the Gumbel uniforms still are
+        mlp, gumbel, ffn = self.draw(0.0, n=30)
+        assert mlp is None and ffn is None
+        assert gumbel.shape == (2, 30, 20)
+
+    def test_training_scales_kept_units(self):
+        mlp, _, ffn = self.draw(0.25)
+        assert [keep.shape for keep in (*mlp, ffn)] == [
+            (2500, 16), (2500, 8), (2500, 8)]
+        for keep in (*mlp, ffn):
+            kept = keep != 0.0
+            np.testing.assert_allclose(keep[kept], 1.0 / 0.75)
+            assert abs(kept.mean() - 0.75) < 0.02
 
 
 class TestServingPath:
@@ -678,6 +705,34 @@ class TestCheckpoint:
         (path / "vocab.json").write_text(json.dumps(vocab))
         table = {"items": "item_emb", "users": "user_emb"}[field]
         with pytest.raises(CheckpointError, match=f"'{table}' has shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, name", [
+        ("items", "item"), ("categories", "category"), ("users", "user")])
+    def test_id_listed_twice_rejected(self, trained_small, tmp_path, field,
+                                      name):
+        # the sizes still fit the tables, but row 2's id names row 1
+        model, _, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path)
+        vocab = json.loads((path / "vocab.json").read_text())
+        vocab[field][2] = vocab[field][1]
+        (path / "vocab.json").write_text(json.dumps(vocab))
+        twice = vocab[field][1][0] if field == "items" else vocab[field][1]
+        with pytest.raises(CheckpointError, match=f"{name} ids more than "
+                           f"once: \\['{twice}'\\]"):
+            load_checkpoint(path)
+
+    def test_item_of_unknown_category_rejected(self, trained_small,
+                                               tmp_path):
+        model, _, _ = trained_small
+        path = tmp_path / "ckpt"
+        save_checkpoint(model, path)
+        vocab = json.loads((path / "vocab.json").read_text())
+        vocab["items"][0][1] = "no-such-category"
+        (path / "vocab.json").write_text(json.dumps(vocab))
+        with pytest.raises(CheckpointError, match="unknown categories: "
+                           r"\['no-such-category'\]"):
             load_checkpoint(path)
 
     def test_width_other_than_d_rejected(self, trained_small, tmp_path):
