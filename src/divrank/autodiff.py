@@ -11,9 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-EPS_LOG = 1e-12          # lower clamp for log arguments
-
-
 class ShapeError(ValueError):
     pass
 
@@ -284,29 +281,6 @@ def relu(a):
                    lambda g: (np.where(mask, g, 0.0),))
 
 
-def sigmoid(a):
-    a = _coerce(a)
-    out = expit(a.data)
-
-    def back(g):
-        return (g * out * (1.0 - out),)
-
-    return _record(a.tape, out, (a,), back)
-
-
-def log(a):
-    """Natural log with the argument clamped to >= 1e-12."""
-    a = _coerce(a)
-    clamped = np.maximum(a.data, EPS_LOG)
-    out = np.log(clamped)
-    active = a.data >= EPS_LOG
-
-    def back(g):
-        return (np.where(active, g / clamped, 0.0),)
-
-    return _record(a.tape, out, (a,), back)
-
-
 def softplus(a):
     """log(1 + e^x), overflow-safe."""
     a = _coerce(a)
@@ -374,17 +348,21 @@ def reshape(a, shape):
 # softmax family
 
 
-def softmax(a, keep=None):
+def softmax(a, keep=None, shift=None):
     """Softmax over the last axis with max-subtraction; rows sum to 1.
 
     With a boolean keep mask of a's shape, each row is the softmax over
     its kept entries only, shifted by its largest kept entry, and the
     dropped entries get weight 0; every row must keep at least one entry.
     Dropped entries may lie anywhere, far above the kept ones included.
+    shift, if given, holds each row's shift, for a caller that already
+    knows its largest kept entries.
     """
     a = _coerce(a)
-    top = a.data if keep is None else np.where(keep, a.data, -np.inf)
-    out = a.data - top.max(axis=-1, keepdims=True)
+    if shift is None:
+        top = a.data if keep is None else np.where(keep, a.data, -np.inf)
+        shift = top.max(axis=-1)
+    out = a.data - shift[..., None]
     if keep is not None:
         # only dropped entries lie above the shift: clamping them at 0
         # keeps exp finite before keep zeroes them

@@ -161,17 +161,18 @@ def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):
     return expit(z)
 
 
-def bce_loss(predictions: Tensor, labels, weights=None) -> Tensor:
-    """Mean binary cross-entropy over labeled entries.
+def bce_loss(logits: Tensor, labels, weights=None) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(logits) against labels.
 
-    predictions are probabilities in (0, 1); labels an array of {0, 1};
-    weights, if given, replace the mean by sum(weights * entry loss).
+    labels is an array of {0, 1}; weights, if given, replace the mean by
+    sum(weights * entry loss). Each entry is softplus(z) - y*z, which
+    equals -y log(sigma(z)) - (1-y) log(1 - sigma(z)) and keeps its
+    gradient sigma(z) - y where sigma(z) saturates.
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.size == 0:
         raise ValueError("bce_loss over an empty labeled set")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    term = ad.add(ad.mul(y, ad.log(predictions)),
-                  ad.mul(1.0 - y, ad.log(ad.sub(1.0, predictions))))
-    return ad.neg(ad.weighted_mean(term, weights))
+    return ad.weighted_mean(ad.sub(ad.softplus(logits), ad.mul(y, logits)),
+                            weights)

@@ -98,13 +98,19 @@ def sample_contexts(w: Tensor, mask, k: int,
     if u is not None:
         x_pos = ad.add_constant(x_pos, gumbel_noise(u[0]))
         x_neg = ad.add_constant(x_neg, gumbel_noise(u[1]))
-    return (ad.softmax(x_pos, keep=_top_k(x_pos.data + mask, k)),
-            ad.softmax(ad.neg(x_neg), keep=_top_k(x_neg.data + mask, k)))
+    keep_pos, s_pos = _top_k(x_pos.data + mask, k)
+    keep_neg, s_neg = _top_k(x_neg.data + mask, k)
+    # the mask is 0 at every pick, so each side's largest pick is read
+    # off its sort: the top value, and the k-th largest negated
+    return (ad.softmax(x_pos, keep_pos, shift=s_pos[:, -1]),
+            ad.softmax(ad.neg(x_neg), keep_neg, shift=-s_neg[:, -k]))
 
 
 def _top_k(x, k):
-    """Boolean mask of each row's entries at or above its k-th largest."""
-    return x >= np.sort(x, axis=-1)[:, [-k]]
+    """(boolean mask of each row's entries at or above its k-th largest,
+    each row sorted ascending)."""
+    s = np.sort(x, axis=-1)
+    return x >= s[:, [-k]], s
 
 
 def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,

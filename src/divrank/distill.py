@@ -224,12 +224,6 @@ def _context_weights(w, pool, k):
 # losses
 
 
-def _kd_from_logits(z: Tensor, y_tea, weights=None) -> Tensor:
-    # softplus(z) - y*z == -y log(sigma) - (1-y) log(1-sigma), stable
-    terms = ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z))
-    return ad.weighted_mean(terms, weights)
-
-
 def _draw_noise(rng, row_off, n_shown, ms, config):
     """One training step's noise, drawn from rng in the order a loop over
     the batch's requests draws it: per request, MLP dropout for both
@@ -307,11 +301,11 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None):
 
     components = {}
     if shown.size > 0:
-        f_shown = ad.sigmoid(bb.score_logits(
+        z_shown = bb.score_logits(
             P, users[shown], items[shown],
-            np.concatenate([r.cat_idx for r in batch])[shown], mlp_keep))
+            np.concatenate([r.cat_idx for r in batch])[shown], mlp_keep)
         weights = 1.0 / (B * np.repeat(n_shown, n_shown))
-        loss_bce = bb.bce_loss(f_shown, labels[shown], weights)
+        loss_bce = bb.bce_loss(z_shown, labels[shown], weights)
     else:
         loss_bce = Tensor(0.0)
     components["bce"] = loss_bce
@@ -345,7 +339,7 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None):
     u_rows = ad.gather_rows(P["user_emb"], users)
     c_fused = cce.fuse_context(u_rows, c_pos, c_neg, P, ffn_keep)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
-    loss_kd = _kd_from_logits(z, np.concatenate(y_teas), row_w)
+    loss_kd = bb.bce_loss(z, np.concatenate(y_teas), row_w)
     components["kd"] = loss_kd
     components["z_stu"] = z
 
@@ -370,6 +364,72 @@ def _mean(values):
     return float(np.mean(values)) if values else 0.0
 
 
+def _check_finite(value, epoch, step):
+    """step=None stands for the epoch's validation."""
+    if not np.isfinite(value):
+        at = "validation" if step is None else f"step {step}"
+        raise TrainingDiverged(
+            f"non-finite loss at epoch {epoch}, {at}: {value}")
+
+
+def _loss_keys(labels):
+    """The losses history reports: the warm-up's BCE (labels=None), or the
+    joint loss and its three components."""
+    return ("bce",) if labels is None else ("total", "bce", "kd", "infonce")
+
+
+def _epoch(model, split, labels, config, rng, epoch):
+    """One epoch of SGD over split in a fresh random order, batch_size
+    requests a step; returns each reported loss as the mean over steps.
+
+    labels holds each request's teacher labels; labels=None is the
+    warm-up. Its BCE is a mean over requests with a shown label, so each
+    slice of the order keeps only those, and a slice left empty takes no
+    step.
+    """
+    order = rng.permutation(len(split))
+    sums = {key: [] for key in _loss_keys(labels)}
+    for step, start in enumerate(range(0, len(order), config.batch_size)):
+        idx = order[start:start + config.batch_size]
+        if labels is None:
+            idx = [i for i in idx if np.any(split[i].labels >= 0)]
+            if not idx:
+                continue
+        tape = ad.Tape()
+        P = model.params.leaves(tape)
+        loss, comps = batch_loss(
+            P, [split[i] for i in idx],
+            None if labels is None else [labels[i] for i in idx], config,
+            rng=rng)
+        _check_finite(loss.item(), epoch, step)
+        tape.backward(loss)
+        model.params.sgd_step(P, config.lr)
+        comps["total"] = loss
+        for key, values in sums.items():
+            values.append(comps[key].item())
+    return {key: _mean(values) for key, values in sums.items()}
+
+
+def _val_loss(model, split, labels, config):
+    """Eval-mode batch_loss over split, batch_size requests at a time;
+    returns each reported loss as the mean over requests. labels=None is
+    the warm-up, which covers only the requests with a shown label."""
+    if labels is None:
+        split = [rows for rows in split if np.any(rows.labels >= 0)]
+    P = {name: Tensor(arr) for name, arr in model.params.items()}
+    sums = dict.fromkeys(_loss_keys(labels), 0.0)
+    for start in range(0, len(split), config.batch_size):
+        stop = start + config.batch_size
+        total, comps = batch_loss(
+            P, split[start:stop],
+            None if labels is None else labels[start:stop], config)
+        comps["total"] = total
+        share = len(split[start:stop]) / len(split)
+        for key in sums:
+            sums[key] += share * comps[key].item()
+    return sums
+
+
 def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = None):
     """Two-phase training; returns (best model, history list of dicts)."""
     config.validate()
@@ -386,65 +446,31 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
     val_rows = [model.request_arrays(req) for req in val_ds.requests]
     history = []
 
-    def check_finite(value, epoch, step):
-        if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}, step {step}: {value}")
+    def run_epoch(phase, epoch, train_labels, val_labels):
+        """One epoch and its validation, logged to history; returns the
+        validation losses."""
+        train_loss = _epoch(model, train_rows, train_labels, config, rng,
+                            epoch)
+        val_loss = _val_loss(model, val_rows, val_labels, config)
+        for value in val_loss.values():
+            _check_finite(value, epoch, None)
+        history.append({"phase": phase, "epoch": epoch,
+                        **{f"train_{k}": v for k, v in train_loss.items()},
+                        **{f"val_{k}": v for k, v in val_loss.items()}})
+        return val_loss
 
     # phase 1: backbone-only BCE warm-up over the requests with shown labels
     for epoch in range(config.warm_epochs):
-        order = rng.permutation(len(train_rows))
-        losses = []
-        for step, start in enumerate(range(0, len(order), config.batch_size)):
-            # the BCE is a mean over requests with a shown label
-            batch = [train_rows[i]
-                     for i in order[start:start + config.batch_size]
-                     if np.any(train_rows[i].labels >= 0)]
-            if not batch:
-                continue
-            tape = ad.Tape()
-            P = model.params.leaves(tape)
-            loss, _ = batch_loss(P, batch, None, config, rng=rng)
-            check_finite(loss.item(), epoch, step)
-            tape.backward(loss)
-            model.params.sgd_step(P, config.lr)
-            losses.append(loss.item())
-        val_bce = _phase1_val_loss(model, val_rows)
-        history.append({"phase": "warmup", "epoch": epoch,
-                        "train_bce": _mean(losses), "val_bce": val_bce})
+        run_epoch("warmup", epoch, None, None)
 
     # phase 2: joint loss with per-epoch teacher refresh
     best_params = model.params.copy()
     best_val = math.inf
     stale = 0
     for epoch in range(config.joint_epochs):
-        train_labels = _refresh_labels(model, train_rows, config)
-        val_labels = _refresh_labels(model, val_rows, config)
-        order = rng.permutation(len(train_rows))
-        sums = {"total": [], "bce": [], "kd": [], "infonce": []}
-        for step, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = order[start:start + config.batch_size]
-            tape = ad.Tape()
-            P = model.params.leaves(tape)
-            loss, comps = batch_loss(
-                P, [train_rows[i] for i in batch],
-                [train_labels[i] for i in batch], config, rng=rng)
-            check_finite(loss.item(), epoch, step)
-            tape.backward(loss)
-            model.params.sgd_step(P, config.lr)
-            sums["total"].append(loss.item())
-            for key in ("bce", "kd", "infonce"):
-                sums[key].append(comps[key].item())
-
-        val_total, val_comps = _joint_val_loss(model, val_rows, val_labels,
-                                               config)
-        check_finite(val_total, epoch, -1)
-        history.append({"phase": "joint", "epoch": epoch,
-                        "train_total": _mean(sums["total"]),
-                        "train_bce": _mean(sums["bce"]),
-                        "train_kd": _mean(sums["kd"]),
-                        "train_infonce": _mean(sums["infonce"]),
-                        "val_total": val_total, **val_comps})
+        val_total = run_epoch("joint", epoch,
+                              _refresh_labels(model, train_rows, config),
+                              _refresh_labels(model, val_rows, config))["total"]
         if val_total < best_val:
             best_val = val_total
             best_params = model.params.copy()
@@ -457,37 +483,6 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
 
     model.params = best_params
     return model, history
-
-
-def _phase1_val_loss(model, split):
-    losses = []
-    for rows in split:
-        shown = np.flatnonzero(rows.labels >= 0)
-        if shown.size == 0:
-            continue
-        f = bb.score_all_detached(model.params, rows.u_idx,
-                                  rows.item_idx[shown], rows.cat_idx[shown])
-        f = np.clip(f, 1e-12, 1.0 - 1e-12)
-        y = rows.labels[shown].astype(np.float64)
-        losses.append(float(-(y * np.log(f) + (1 - y) * np.log(1 - f)).mean()))
-    return _mean(losses)
-
-
-def _joint_val_loss(model, split, labels_list, config):
-    """Eval-mode joint loss and components, each the mean over requests,
-    computed batch_size requests at a time."""
-    P = {name: Tensor(arr) for name, arr in model.params.items()}
-    sums = {"total": 0.0, "bce": 0.0, "kd": 0.0, "infonce": 0.0}
-    for start in range(0, len(split), config.batch_size):
-        stop = start + config.batch_size
-        total, comps = batch_loss(P, split[start:stop],
-                                  labels_list[start:stop], config)
-        share = len(split[start:stop]) / len(split)
-        sums["total"] += share * total.item()
-        for key in ("bce", "kd", "infonce"):
-            sums[key] += share * comps[key].item()
-    return sums["total"], {f"val_{key}": sums[key]
-                           for key in ("bce", "kd", "infonce")}
 
 
 # ---------------------------------------------------------------------------

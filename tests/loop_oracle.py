@@ -93,7 +93,8 @@ def _pool(weights, values):
 
 def request_loss(P, rows, y_tea, config, rng=None):
     """(total, components) of one request (distill.RequestRows) over its
-    context pool; rng=None turns noise and dropout off."""
+    context pool; rng=None turns noise and dropout off. y_tea=None
+    computes only the accuracy BCE (the warm-up loss)."""
     u_idx, item_idx, cat_idx, labels, pool = (
         rows.u_idx, rows.item_idx, rows.cat_idx, rows.labels, rows.pool)
     n = len(item_idx)
@@ -103,12 +104,13 @@ def request_loss(P, rows, y_tea, config, rng=None):
     shown = np.flatnonzero(labels >= 0)
     if shown.size > 0:
         keep = None if rng is None else mlp_keep(rng, shown.size, config)
-        f_shown = ad.sigmoid(bb.score_logits(
-            P, u_idx, item_idx[shown], cat_idx[shown], keep))
-        loss_bce = bb.bce_loss(f_shown, labels[shown])
+        loss_bce = bb.bce_loss(bb.score_logits(
+            P, u_idx, item_idx[shown], cat_idx[shown], keep), labels[shown])
     else:
         loss_bce = Tensor(0.0)
     components["bce"] = loss_bce
+    if y_tea is None:
+        return loss_bce, components
 
     E = ad.gather_rows(P["item_emb"], item_idx)
     E_pool = E if m == n else ad.gather_rows(E, pool)
@@ -132,7 +134,7 @@ def request_loss(P, rows, y_tea, config, rng=None):
                                                  config.dropout)
     c_fused = cce.fuse_context(u_row, c_pos, c_neg, P, keep)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
-    loss_kd = ad.tmean(ad.sub(ad.softplus(z), ad.mul(np.asarray(y_tea), z)))
+    loss_kd = bb.bce_loss(z, y_tea)
     components["kd"] = loss_kd
     components["z_stu"] = z
 
@@ -165,10 +167,9 @@ def warmup_step(params, batch, config, rng):
         shown = np.flatnonzero(rows.labels >= 0)
         if shown.size == 0:
             continue
-        f = ad.sigmoid(bb.score_logits(
+        terms.append(bb.bce_loss(bb.score_logits(
             P, rows.u_idx, rows.item_idx[shown], rows.cat_idx[shown],
-            mlp_keep(rng, shown.size, config)))
-        terms.append(bb.bce_loss(f, rows.labels[shown]))
+            mlp_keep(rng, shown.size, config)), rows.labels[shown]))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

@@ -19,13 +19,6 @@ from loop_oracle import take_per_row, transpose
 RNG = np.random.default_rng(20240811)
 
 
-def exp(a):
-    """Elementwise e^a; the package has no caller for it, so it lives here."""
-    a = ad._coerce(a)
-    out = np.exp(a.data)
-    return ad._record(a.tape, out, (a,), lambda g: (g * out,))
-
-
 def check(f, x, tol=1e-6, h=1e-5):
     assert grad_check(f, x, h=h) < tol
 
@@ -122,24 +115,6 @@ class TestElementwise:
         x = RNG.standard_normal(20)
         x[np.abs(x) < 0.05] += 0.2  # keep away from the kink
         check(lambda t: ad.tsum(ad.relu(t)), x)
-
-    def test_sigmoid(self):
-        check(lambda t: ad.tsum(ad.sigmoid(t)), RNG.standard_normal(10))
-
-    def test_exp_log_roundtrip_grad(self):
-        x = RNG.uniform(0.1, 3.0, size=8)
-        check(lambda t: ad.tsum(ad.log(exp(t))), x)
-
-    def test_log_clamps_small_arguments(self):
-        out = ad.log(Tensor([1e-30, 0.0, -1.0]))
-        np.testing.assert_allclose(out.data, np.log(1e-12))
-
-    def test_log_clamp_zero_gradient(self):
-        tape = Tape()
-        x = tape.leaf(np.array([1e-30, 0.5]))
-        tape.backward(ad.tsum(ad.log(x)))
-        assert x.grad[0] == 0.0
-        assert x.grad[1] == pytest.approx(2.0)
 
     def test_softplus_matches_reference_and_survives_overflow(self):
         x = np.array([-800.0, -5.0, 0.0, 5.0, 800.0])
@@ -394,6 +369,6 @@ class TestGradCheckOracle:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_forward_detected(self):
         def f(t):
-            return ad.tsum(ad.log(exp(ad.scale(t, 1e6))))
+            return ad.tsum(ad.scale(ad.scale(t, 1e300), 1e300))
         with pytest.raises(FloatingPointError):
             grad_check(f, np.array([1.0]))

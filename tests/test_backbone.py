@@ -4,8 +4,8 @@ the BCE loss against a hand-rolled reference.
 
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 
-from divrank import autodiff as ad
 from divrank import backbone as bb
 from divrank.autodiff import ParamStore, Tape, Tensor
 from divrank.backbone import ConfigError, TrainConfig
@@ -13,10 +13,6 @@ from divrank.backbone import ConfigError, TrainConfig
 from gradcheck import grad_check
 
 RNG = np.random.default_rng(7)
-
-
-def score_probs(P, user_idx, item_idx, cat_idx):
-    return ad.sigmoid(bb.score_logits(P, user_idx, item_idx, cat_idx))
 
 
 def make_params(n_items=9, n_cats=3, n_users=4, d=6, seed=0):
@@ -76,15 +72,15 @@ class TestScoring:
     def test_probabilities_in_unit_interval(self):
         params = make_params()
         P = {n: Tensor(v) for n, v in params.items()}
-        out = score_probs(P, 1, [0, 3, 7], [0, 1, 2])
-        assert out.data.shape == (3,)
-        assert np.all((out.data > 0) & (out.data < 1))
+        out = expit(bb.score_logits(P, 1, [0, 3, 7], [0, 1, 2]).data)
+        assert out.shape == (3,)
+        assert np.all((out > 0) & (out < 1))
 
     def test_detached_matches_tape_eval_mode(self):
         params = make_params()
         P = {n: Tensor(v) for n, v in params.items()}
         item_idx, cat_idx = [0, 3, 7, 8], [0, 1, 2, 0]
-        tape_out = score_probs(P, 2, item_idx, cat_idx).data
+        tape_out = expit(bb.score_logits(P, 2, item_idx, cat_idx).data)
         fast_out = bb.score_all_detached(params, 2, item_idx, cat_idx)
         np.testing.assert_allclose(fast_out, tape_out, atol=1e-12)
 
@@ -111,8 +107,8 @@ class TestScoring:
         params = make_params()
         tape = Tape()
         P = params.leaves(tape)
-        probs = score_probs(P, 0, [1, 2], [0, 1])
-        tape.backward(bb.bce_loss(probs, [1, 0]))
+        logits = bb.score_logits(P, 0, [1, 2], [0, 1])
+        tape.backward(bb.bce_loss(logits, [1, 0]))
         for name in ("item_emb", "cat_emb", "user_emb", "mlp_w1", "mlp_w3"):
             assert np.abs(P[name].grad).max() > 0.0, name
 
@@ -120,8 +116,8 @@ class TestScoring:
         params = make_params()
         tape = Tape()
         P = params.leaves(tape)
-        probs = score_probs(P, 0, [1], [0])
-        tape.backward(bb.bce_loss(probs, [1]))
+        logits = bb.score_logits(P, 0, [1], [0])
+        tape.backward(bb.bce_loss(logits, [1]))
         np.testing.assert_allclose(P["item_emb"].grad[5], 0.0)
 
     def test_full_scorer_grad_check(self):
@@ -132,8 +128,8 @@ class TestScoring:
         def f(leaf):
             P = {n: Tensor(v) for n, v in params.items()}
             P["mlp_w1"] = leaf
-            probs = score_probs(P, 1, item_idx, cat_idx)
-            return bb.bce_loss(probs, labels)
+            logits = bb.score_logits(P, 1, item_idx, cat_idx)
+            return bb.bce_loss(logits, labels)
 
         assert grad_check(f, flat) < 1e-6
 
@@ -143,8 +139,18 @@ class TestBceLoss:
         p = np.array([0.9, 0.2, 0.6])
         y = np.array([1, 0, 1])
         expected = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-        got = bb.bce_loss(Tensor(p), y).item()
+        got = bb.bce_loss(Tensor(logit(p)), y).item()
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_saturated_logits_keep_their_gradient(self):
+        # sigma(-40) is about 4e-18: a loss on clamped log-probabilities
+        # would give these entries no gradient at all
+        z, y = np.meshgrid([-40.0, -5.0, 0.0, 5.0, 40.0], [0.0, 1.0])
+        tape = Tape()
+        leaf = tape.leaf(z.ravel())
+        tape.backward(bb.bce_loss(leaf, y.ravel()))
+        np.testing.assert_allclose(leaf.grad, (expit(leaf.data) - y.ravel())
+                                   / leaf.data.size, rtol=0.0, atol=1e-12)
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError, match="empty"):

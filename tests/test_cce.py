@@ -59,17 +59,20 @@ class TestHardTopk:
     def test_ordered_by_value(self):
         v = np.array([0.1, 0.9, 0.5, 0.7])
         assert hard_topk(v, 3).tolist() == [1, 3, 2]
-        assert np.flatnonzero(_top_k(v[None], 3)[0]).tolist() == [1, 2, 3]
+        picks, _ = _top_k(v[None], 3)
+        assert np.flatnonzero(picks[0]).tolist() == [1, 2, 3]
 
     def test_k_equals_n(self):
         v = RNG.standard_normal(6)
         assert hard_topk(v, 6).tolist() == np.argsort(-v).tolist()
-        assert _top_k(v[None], 6).all()
+        picks, _ = _top_k(v[None], 6)
+        assert picks.all()
 
     def test_batched_rows_independent(self):
         v = RNG.standard_normal((10, 8))
         idx = hard_topk(v, 3)
-        picks = _top_k(v, 3)
+        picks, s = _top_k(v, 3)
+        np.testing.assert_array_equal(s, np.sort(v, axis=1))
         for r in range(10):
             assert idx[r].tolist() == np.argsort(-v[r])[:3].tolist()
             assert np.flatnonzero(picks[r]).tolist() == sorted(idx[r])

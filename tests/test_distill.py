@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from divrank import autodiff as ad
 from divrank import backbone as bb
@@ -27,11 +27,6 @@ from divrank.distill import (CheckpointError, TrainingDiverged,
 import loop_oracle
 import serving_oracle
 from gradcheck import grad_check
-
-
-def kd_loss(y_stu, y_tea):
-    """Mean binary cross-entropy of student probabilities vs hard labels."""
-    return bb.bce_loss(y_stu, y_tea)
 
 
 def total_loss(model, request):
@@ -82,14 +77,15 @@ class TestLosses:
         p = np.array([0.8, 0.3])
         y = np.array([1.0, 0.0])
         expected = -0.5 * (math.log(0.8) + math.log(0.7))
-        assert kd_loss(Tensor(p), y).item() == pytest.approx(expected,
-                                                             abs=1e-12)
+        assert bb.bce_loss(Tensor(logit(p)), y).item() == pytest.approx(
+            expected, abs=1e-12)
 
     def test_logit_form_matches_probability_form(self):
         z = np.random.default_rng(0).standard_normal(20)
         y = (np.random.default_rng(1).random(20) < 0.4).astype(float)
-        a = distill._kd_from_logits(Tensor(z), y).item()
-        b = kd_loss(Tensor(expit(z)), y).item()
+        a = bb.bce_loss(Tensor(z), y).item()
+        p = expit(z)
+        b = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_total_is_weighted_sum_of_components(self, small_model_and_data):
@@ -242,27 +238,35 @@ class TestBatchedStep:
             y_teas.append((rng.random(n) < 0.3).astype(float))
         return params, batch, y_teas
 
-    def test_eval_loss_is_mean_of_per_request_losses(self):
+    # the warm-up passes no teacher labels and computes only the BCE
+    @pytest.mark.parametrize("phase", ["joint", "warmup"])
+    def test_eval_loss_is_mean_of_per_request_losses(self, phase):
         config = self.config()
         params, batch, y_teas = self.ragged_batch(config)
         capped = [len(rows.pool) < len(rows.item_idx) for rows in batch]
         assert any(capped) and not all(capped)
+        joint = phase == "joint"
+        if not joint:
+            y_teas = [None] * len(batch)
         P = {n: Tensor(v) for n, v in params.items()}
-        total, comps = distill.batch_loss(P, batch, y_teas, config)
+        total, comps = distill.batch_loss(P, batch, y_teas if joint else None,
+                                          config)
         per_request = [loop_oracle.request_loss(P, rows, y, config)
                        for rows, y in zip(batch, y_teas)]
-        one_batch = [distill.batch_loss(P, [req], [y], config)
+        one_batch = [distill.batch_loss(P, [req], [y] if joint else None,
+                                        config)
                      for req, y in zip(batch, y_teas)]
         for losses in (per_request, one_batch):
             assert total.item() == pytest.approx(
                 np.mean([t.item() for t, _ in losses]), abs=1e-12)
-            for key in ("bce", "kd", "infonce"):
+            for key in ("bce", "kd", "infonce") if joint else ("bce",):
                 assert comps[key].item() == pytest.approx(
                     np.mean([c[key].item() for _, c in losses]), abs=1e-12)
-            np.testing.assert_allclose(
-                comps["z_stu"].data,
-                np.concatenate([c["z_stu"].data for _, c in losses]),
-                rtol=0.0, atol=1e-12)
+            if joint:
+                np.testing.assert_allclose(
+                    comps["z_stu"].data,
+                    np.concatenate([c["z_stu"].data for _, c in losses]),
+                    rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("dropout", [0.25, 0.0])
     def test_training_step_matches_per_request_loop(self, dropout):
@@ -568,6 +572,16 @@ class TestTraining:
                           joint_epochs=5, batch_size=4, lr=1e8,
                           max_context_pool=32, seed=0)
         with pytest.raises(TrainingDiverged):
+            with np.errstate(all="ignore"):
+                train(small_dataset, cfg)
+
+    def test_warmup_divergence_aborts(self, small_dataset):
+        # one warm-up step over all 20 training requests: only the
+        # validation loss sees the weights it leaves behind
+        cfg = TrainConfig(d=8, k=3, K_teacher=5, warm_epochs=1,
+                          joint_epochs=0, batch_size=20, lr=1e300,
+                          max_context_pool=32, seed=0)
+        with pytest.raises(TrainingDiverged, match="validation"):
             with np.errstate(all="ignore"):
                 train(small_dataset, cfg)
 
