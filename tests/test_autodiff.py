@@ -208,6 +208,27 @@ class TestSoftmaxFamily:
                                        atol=1e-15)
             np.testing.assert_array_equal(got[~keep], 0.0)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_given_shift_matches_computed_shift(self, masked):
+        # a caller passing each row's largest kept entry gets the same
+        # output and gradient, bit for bit, as softmax computing it
+        x = RNG.standard_normal((3, 6))
+        keep = self.KEEP if masked else None
+        if masked:
+            x[0, ~keep[0]] += 1e30
+        shift = (np.where(keep, x, -np.inf) if masked else x).max(axis=1)
+        g = RNG.standard_normal((3, 6))
+        outs, grads = [], []
+        for s in (None, shift):
+            tape = Tape()
+            leaf = tape.leaf(x)
+            out = ad.softmax(leaf, keep, shift=s)
+            tape.backward(ad.tsum(ad.mul(out, g)))
+            outs.append(out.data)
+            grads.append(leaf.grad)
+        np.testing.assert_array_equal(outs[1], outs[0])
+        np.testing.assert_array_equal(grads[1], grads[0])
+
 
 class TestGathers:
     def test_gather_rows_accumulates_repeats(self):

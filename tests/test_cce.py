@@ -197,6 +197,22 @@ class TestSampleContexts:
                 np.testing.assert_allclose(a.data[i], want, rtol=0.0,
                                            atol=1e-12)
 
+    def test_sides_match_softmax_computing_its_own_shift(self):
+        # each side's shift is read off the top-k sort; the weights must
+        # equal, bit for bit, the softmax that finds its own largest pick
+        n, k = 9, 3
+        w = RNG.standard_normal((n, n))
+        mask = self_mask(n, np.arange(n))
+        mask[:4, 6:] = cce.MASK_VALUE
+        u = np.random.default_rng(8).random((2, n, n))
+        a_pos, a_neg = sample_contexts(Tensor(w), mask, k, u)
+        x_pos = w + gumbel_noise(u[0])
+        x_neg = -w + gumbel_noise(u[1])
+        for a, x, sign in ((a_pos, x_pos, 1.0), (a_neg, x_neg, -1.0)):
+            keep, _ = _top_k(x + mask, k)
+            want = ad.softmax(Tensor(sign * x), keep=keep).data
+            np.testing.assert_array_equal(a.data, want)
+
     def test_noise_added_and_grad_passes_through(self):
         # the noise is a constant shift: the noisy weights, and their
         # gradient, are those of noise-free sampling at w + g (positive
