@@ -149,13 +149,24 @@ def score_logits(P, user_idx, item_idx, cat_idx, keep=None):
 
 
 def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):
-    """Fast eval-mode scoring: pure numpy, no tape, dropout off."""
-    n = len(item_idx)
-    eu = np.broadcast_to(params["user_emb"][user_idx], (n, params["user_emb"].shape[1]))
-    ei = params["item_emb"][np.asarray(item_idx, dtype=np.int64)]
-    ec = params["cat_emb"][np.asarray(cat_idx, dtype=np.int64)]
-    x = np.concatenate([eu, ei, ec, eu * ei, eu * ec], axis=1)
-    h = np.maximum(x @ params["mlp_w1"] + params["mlp_b1"], 0.0)
+    """Fast eval-mode scoring of one user's candidates: pure numpy, no
+    tape, dropout off.
+
+    The first layer is score_logits' concat(u, e_i, c, u*e_i, u*c) @ W1
+    with the user's terms folded into the weights:
+    h1 = e_i (W_i + diag(u) W_ui) + T[c], where the table
+    T = cat_emb (W_c + diag(u) W_uc) + u W_u + b1 holds one row per
+    category. The sums run in another order than the concat's, so scores
+    agree with score_logits to rounding (about 1e-16), not bit for bit.
+    """
+    u = params["user_emb"][user_idx]
+    w_u, w_i, w_c, w_ui, w_uc = params["mlp_w1"].reshape(5, len(u), -1)
+    table = params["cat_emb"] @ (w_c + u[:, None] * w_uc)
+    table += u @ w_u + params["mlp_b1"]
+    h = params["item_emb"][np.asarray(item_idx, dtype=np.int64)] \
+        @ (w_i + u[:, None] * w_ui)
+    h += table[np.asarray(cat_idx, dtype=np.int64)]
+    np.maximum(h, 0.0, out=h)
     h = np.maximum(h @ params["mlp_w2"] + params["mlp_b2"], 0.0)
     z = (h @ params["mlp_w3"] + params["mlp_b3"])[:, 0]
     return expit(z)

@@ -33,6 +33,10 @@ from .data import Dataset, split_train_eval
 
 ALL_PARAM_NAMES = bb.BACKBONE_PARAM_NAMES + cce.CCE_PARAM_NAMES
 
+# most requests one stacked teacher pass labels; bounds its (R, n, d) work
+# arrays to stay cache-sized
+LABEL_CHUNK = 64
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -353,11 +357,49 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None):
 # training
 
 
+def _teacher_k(config, n):
+    """Teacher picks for a request of n candidates: K_teacher, or
+    ceil(0.2 * n)."""
+    return config.K_teacher or math.ceil(0.2 * n)
+
+
 def _refresh_labels(model: CDMModel, split, config):
-    """Teacher labels per request: K_teacher picks, or ceil(0.2 * n)."""
-    return [teach.mmr_rows(model, rows, config.lam, config.K_teacher
-                           or math.ceil(0.2 * len(rows.item_idx)))[2]
-            for rows in split]
+    """Teacher labels per request, _teacher_k picks each.
+
+    Requests of equal candidate count n share K, so they are labelled in
+    stacked greedy passes of up to LABEL_CHUNK requests, grouped in the
+    order each n first appears.
+    """
+    by_n = {}
+    for i, rows in enumerate(split):
+        by_n.setdefault(len(rows.item_idx), []).append(i)
+    labels = [None] * len(split)
+    for n, members in by_n.items():
+        K = _teacher_k(config, n)
+        for start in range(0, len(members), LABEL_CHUNK):
+            chunk = members[start:start + LABEL_CHUNK]
+            y_tea = teach.mmr_labels(model, [split[i] for i in chunk],
+                                     config.lam, K)
+            for i, y in zip(chunk, y_tea):
+                labels[i] = y
+    return labels
+
+
+def _check_trainable(requests, split, config):
+    """Refuse, before any epoch runs, a request the joint phase cannot
+    train on: one with fewer candidates than its teacher picks, or a
+    context pool too small for k contexts per side."""
+    for req, rows in zip(requests, split):
+        n = len(rows.item_idx)
+        K = _teacher_k(config, n)
+        if K > n:
+            raise ValueError(f"request {req.request_id!r}: K={K} exceeds "
+                             f"candidate count {n}")
+        usable = len(rows.pool) - 1
+        if 2 * config.k > usable:
+            raise ad.DomainError(f"request {req.request_id!r}: "
+                                 f"2k={2 * config.k} exceeds usable pool "
+                                 f"{usable}")
 
 
 def _mean(values):
@@ -444,6 +486,9 @@ def train(dataset: Dataset, config: TrainConfig, val_dataset: Dataset | None = N
 
     train_rows = [model.request_arrays(req) for req in train_ds.requests]
     val_rows = [model.request_arrays(req) for req in val_ds.requests]
+    if config.joint_epochs > 0:
+        _check_trainable(train_ds.requests, train_rows, config)
+        _check_trainable(val_ds.requests, val_rows, config)
     history = []
 
     def run_epoch(phase, epoch, train_labels, val_labels):

@@ -9,8 +9,16 @@ greedy implementations make the same picks:
   time it and count its similarity evaluations.
 - ``mmr_greedy`` keeps one running max-similarity vector and folds in only
   the newest pick (the incremental update of Chen, Zhang & Zhou, NeurIPS
-  2018), so K picks cost O(N*K*d) instead of O(N*K^2*d). Teacher labels
-  come from it.
+  2018), so K picks cost O(N*K*d) instead of O(N*K^2*d). ``mmr_select``
+  and ``latency_bench`` run it one request at a time.
+- ``mmr_greedy_stacked`` runs the same step arithmetic on R requests of
+  n candidates at once: one matmul and one row-wise argmax per step in
+  place of R numpy call sequences. Each row's picks and gains are
+  mmr_greedy's bit for bit. Training labels come from it, through
+  ``mmr_labels``, over requests grouped by candidate count; requests are
+  never padded to a common n, since padding would change how the
+  similarity products are summed and so flip picks on near-ties. A batch
+  of one goes to mmr_greedy, which is faster at R = 1.
 """
 
 from __future__ import annotations
@@ -97,6 +105,41 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     return selected, gains
 
 
+def mmr_greedy_stacked(acc, ew, lam, K):
+    """mmr_greedy over R requests of n candidates each, all at once.
+
+    acc: (R, n) accuracy scores; ew: (R, n, d) interest-weighted
+    embeddings. Returns (R, K) picks in order and (R, K) per-step gains;
+    row r holds mmr_greedy(acc[r], ew[r], lam, K) bit for bit: the
+    stacked matmul runs the same per-request product as np.dot, and every
+    other step is elementwise.
+    """
+    R, n = acc.shape
+    _check_size(K, n)
+    reqs = np.arange(R)
+    picks = np.empty((R, K), dtype=np.int64)
+    gains = np.empty((R, K))
+    last = acc.argmax(axis=1)
+    picks[:, 0] = last
+    gains[:, 0] = acc[reqs, last]
+    max_sim = np.full((R, n), -np.inf)
+    penalty = np.zeros((R, n))
+    sim = np.empty((R, n))
+    gain = np.empty((R, n))
+    for h in range(1, K):
+        penalty[reqs, last] = -np.inf
+        np.matmul(ew, ew[reqs, last, :, None], out=sim[:, :, None])
+        np.maximum(max_sim, expit(sim, out=sim), out=max_sim)
+        np.subtract(1.0, max_sim, out=gain)
+        gain *= lam
+        gain += acc
+        gain += penalty
+        last = gain.argmax(axis=1)
+        picks[:, h] = last
+        gains[:, h] = gain[reqs, last]
+    return picks, gains
+
+
 def mmr_rows(model, rows, lam, K):
     """Interest-aware MMR over a decoded request (distill.RequestRows)
     using the model's current state: (picks in order, per-step gains,
@@ -108,6 +151,21 @@ def mmr_rows(model, rows, lam, K):
     y_tea = np.zeros(len(rows.item_idx), dtype=np.float64)
     y_tea[selected] = 1.0
     return selected, gains, y_tea
+
+
+def mmr_labels(model, batch, lam, K):
+    """Teacher labels of decoded requests that all have n candidates:
+    an (R, n) array whose row r is mmr_rows(model, batch[r], lam, K)'s
+    y_tea bit for bit."""
+    if len(batch) == 1:
+        return mmr_rows(model, batch[0], lam, K)[2][None]
+    acc = np.stack([model.acc_scores(rows) for rows in batch])
+    ew = model.params["item_emb"][np.stack([r.item_idx for r in batch])] \
+        * model.params["user_emb"][[r.u_idx for r in batch]][:, None, :]
+    picks, _ = mmr_greedy_stacked(acc, ew, lam, K)
+    y_tea = np.zeros(acc.shape)
+    np.put_along_axis(y_tea, picks, 1.0, axis=1)
+    return y_tea
 
 
 def mmr_select(request, model, lam, K) -> TeacherLabeling:

@@ -1,10 +1,14 @@
-"""The serving forward as a gather over argsorted scores.
+"""Serving forwards in the form the package's fast paths replaced.
 
-This is the student forward that distill.win_probabilities_detached
-replaced, kept as the oracle the value-sort forward is checked against.
-It argsorts each target's pool scores, drops the target's own column from
-the k+1 candidates at each end, gathers the picked scores and value rows,
-and pools them with a per-row softmax.
+win_probabilities is the student forward that
+distill.win_probabilities_detached replaced, kept as the oracle the
+value-sort forward is checked against. It argsorts each target's pool
+scores, drops the target's own column from the k+1 candidates at each
+end, gathers the picked scores and value rows, and pools them with a
+per-row softmax.
+
+accuracy_scores is the accuracy MLP over the (N, 5d) concat that
+backbone.score_all_detached replaced with its folded first layer.
 """
 
 import math
@@ -14,6 +18,20 @@ from scipy.special import expit
 
 from divrank import autodiff as ad
 from divrank.distill import context_pool
+
+
+def accuracy_scores(params, user_idx, item_idx, cat_idx):
+    """Eval-mode accuracy scores of one user's candidates: the first layer
+    multiplies concat(u, e_i, c, u*e_i, u*c) by mlp_w1."""
+    n = len(item_idx)
+    eu = np.broadcast_to(params["user_emb"][user_idx],
+                         (n, params["user_emb"].shape[1]))
+    ei = params["item_emb"][np.asarray(item_idx, dtype=np.int64)]
+    ec = params["cat_emb"][np.asarray(cat_idx, dtype=np.int64)]
+    x = np.concatenate([eu, ei, ec, eu * ei, eu * ec], axis=1)
+    h = np.maximum(x @ params["mlp_w1"] + params["mlp_b1"], 0.0)
+    h = np.maximum(h @ params["mlp_w2"] + params["mlp_b2"], 0.0)
+    return expit((h @ params["mlp_w3"] + params["mlp_b3"])[:, 0])
 
 
 def win_probabilities(params, u_idx, item_idx, config, pool_seed=0):

@@ -10,6 +10,7 @@ from divrank import backbone as bb
 from divrank.autodiff import ParamStore, Tape, Tensor
 from divrank.backbone import ConfigError, TrainConfig
 
+import serving_oracle
 from gradcheck import grad_check
 
 RNG = np.random.default_rng(7)
@@ -83,6 +84,22 @@ class TestScoring:
         tape_out = expit(bb.score_logits(P, 2, item_idx, cat_idx).data)
         fast_out = bb.score_all_detached(params, 2, item_idx, cat_idx)
         np.testing.assert_allclose(fast_out, tape_out, atol=1e-12)
+
+    @pytest.mark.parametrize("zero_user", [False, True])
+    def test_folded_scorer_matches_concat_oracle(self, zero_user):
+        params = make_params(n_items=40, n_cats=5, n_users=4, d=6, seed=3)
+        if zero_user:
+            params["user_emb"][1] = 0.0
+        P = {n: Tensor(v) for n, v in params.items()}
+        rng = np.random.default_rng(11)
+        # repeated items and categories, every category present
+        item_idx = rng.integers(40, size=30)
+        cat_idx = np.concatenate([np.arange(5), rng.integers(5, size=25)])
+        fast = bb.score_all_detached(params, 1, item_idx, cat_idx)
+        oracle = serving_oracle.accuracy_scores(params, 1, item_idx, cat_idx)
+        tape = expit(bb.score_logits(P, 1, item_idx, cat_idx).data)
+        assert np.max(np.abs(fast - oracle)) <= 1e-12
+        assert np.max(np.abs(fast - tape)) <= 1e-12
 
     def test_keep_multiplies_both_hidden_layers(self):
         params = make_params()

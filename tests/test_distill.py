@@ -7,6 +7,7 @@ import gc
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -601,6 +602,74 @@ class TestTraining:
         for name in long_run.params.names():
             np.testing.assert_array_equal(long_run.params[name],
                                           short_run.params[name])
+
+
+class TestRefuseUntrainable:
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("K_teacher", 31, ValueError, "K=31 exceeds candidate count 30"),
+        ("k", 15, ad.DomainError, "2k=30 exceeds usable pool 29")])
+    def test_refused_before_the_warmup(self, monkeypatch, field, value,
+                                       error, message):
+        ds = data.generate_synthetic(data.SyntheticSpec(
+            seed=1, num_requests=30, candidates_per_request=30,
+            catalog_size=300))
+        cfg = TrainConfig(**{field: value})
+        train_ds, _ = data.split_train_eval(ds, cfg.eval_fraction, cfg.seed)
+        epochs = []
+        run = distill._epoch
+        monkeypatch.setattr(distill, "_epoch",
+                            lambda *args: epochs.append(args[-1]) or run(*args))
+        first = train_ds.requests[0].request_id
+        with pytest.raises(error, match=re.escape(f"request {first!r}: "
+                                                  f"{message}")):
+            train(ds, cfg)
+        assert epochs == []
+
+    def test_validation_split_checked(self, small_dataset, small_config):
+        # a validation request cut to 6 candidates leaves a pool of 5,
+        # short of 2k = 6 contexts; every training request is fine
+        tr, va = data.split_train_eval(small_dataset, 0.25, 0)
+        short = dataclasses.replace(va.requests[1],
+                                    item_ids=va.requests[1].item_ids[:6],
+                                    labels=va.requests[1].labels[:6])
+        va = data.Dataset([va.requests[0], short, *va.requests[2:]],
+                          va.items, vocab_from=va)
+        with pytest.raises(ad.DomainError, match=re.escape(
+                f"request {short.request_id!r}: 2k=6 exceeds usable pool 5")):
+            train(tr, small_config, va)
+
+    def test_warmup_only_run_is_not_checked(self, small_dataset):
+        # with no joint epoch no teacher labels or contexts are needed
+        cfg = TrainConfig(d=8, k=12, K_teacher=30, max_context_pool=32,
+                          warm_epochs=1, joint_epochs=0, seed=0)
+        _, history = train(small_dataset, cfg)
+        assert [h["phase"] for h in history] == ["warmup"]
+
+
+class TestRefreshLabels:
+    @pytest.mark.parametrize("K_teacher", [None, 5])
+    def test_matches_per_request_loop_on_ragged_split(
+            self, small_model_and_data, K_teacher):
+        model, _ = small_model_and_data
+        config = dataclasses.replace(model.config, K_teacher=K_teacher,
+                                     lam=0.5)
+        rng = np.random.default_rng(3)
+        # 70 requests of 12 candidates (stacked chunks of 64 and 6), 3 of
+        # 7 and one each of 9 and 25 (singleton groups), interleaved;
+        # items drawn with repeats give similarity ties
+        sizes = rng.permutation([12] * 70 + [7] * 3 + [9, 25])
+        split = [sampled_rows(model, rng.integers(len(model.item_ids),
+                                                  size=n),
+                              u_idx=int(rng.integers(len(model.user_ids))),
+                              config=config)
+                 for n in sizes]
+        got = distill._refresh_labels(model, split, config)
+        assert len(got) == len(split)
+        for rows, y_tea in zip(split, got):
+            K = K_teacher or math.ceil(0.2 * len(rows.item_idx))
+            want = teach.mmr_rows(model, rows, config.lam, K)[2]
+            assert y_tea.dtype == want.dtype
+            assert np.array_equal(y_tea, want)
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 from divrank import teacher
-from divrank.teacher import mmr_core, mmr_greedy
+from divrank.teacher import mmr_core, mmr_greedy, mmr_greedy_stacked
 
 from brute_force import brute_force_core
 
@@ -171,6 +171,35 @@ class TestIncrementalGreedy:
         counters = {}
         mmr_greedy(acc, ew, 0.1, K=5, counters=counters)
         assert counters["sim_evals"] == 4 * 20
+
+
+class TestStackedGreedy:
+    @pytest.mark.parametrize("R", [1, 2, 7, 64])
+    def test_matches_per_request_greedy_bitwise(self, R):
+        for trial in range(40):
+            rng = np.random.default_rng([R, trial])
+            n = int(rng.integers(5, 301))
+            K = int(rng.integers(1, min(n, 60) + 1))
+            lam = (0.0, 0.1, 1.0, 5.0)[trial % 4]
+            # the recipe of test_matches_quadratic_core_on_1200_instances,
+            # per request of the stack
+            acc = np.round(rng.uniform(0.0, 1.0, size=(R, n)), 2)
+            ew = rng.standard_normal((R, n, int(rng.integers(2, 17))))
+            if trial % 3 == 0:
+                for r in range(R):
+                    ew[r, rng.integers(n, size=n // 3)] = ew[r, rng.integers(n)]
+            picks, gains = mmr_greedy_stacked(acc, ew, lam, K)
+            assert picks.shape == gains.shape == (R, K)
+            for r in range(R):
+                want, want_gains = mmr_greedy(acc[r], ew[r], lam, K)
+                assert np.array_equal(picks[r], want), f"trial {trial}"
+                assert np.array_equal(gains[r], want_gains), f"trial {trial}"
+
+    def test_k_out_of_range_rejected(self):
+        acc, ew = random_instance(n=4)
+        for K in (0, 5):
+            with pytest.raises(ValueError):
+                mmr_greedy_stacked(acc[None], ew[None], 0.1, K=K)
 
 
 class TestBruteForceOracle:
