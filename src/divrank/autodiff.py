@@ -9,7 +9,7 @@ the per-step op count low enough for pure-Python training loops.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+
 
 class ShapeError(ValueError):
     pass
@@ -281,12 +281,37 @@ def relu(a):
                    lambda g: (np.where(mask, g, 0.0),))
 
 
+def sigmoid(z, out=None):
+    """Logistic function 1 / (1 + exp(-z)) of an array, elementwise.
+
+    Written into out when given, which may be z itself. Where z < -709,
+    exp(-z) overflows to inf and the result is exactly 0; that overflow is
+    expected and silenced here, so it never reaches the caller.
+    """
+    if out is None:
+        out = np.empty(np.shape(z))
+    with np.errstate(over="ignore"):
+        return sigmoid_of_negated(np.negative(z, out=out))
+
+
+def sigmoid_of_negated(t):
+    """sigmoid(-t) = 1 / (1 + exp(t)), computed in place in t.
+
+    sigmoid's arithmetic after its negation, for loops that already hold
+    -z. exp overflows where t > 709 (the result is 0); the caller silences
+    that, once per call rather than once per loop step.
+    """
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
 def softplus(a):
     """log(1 + e^x), overflow-safe."""
     a = _coerce(a)
     ad = a.data
     out = np.maximum(ad, 0.0) + np.log1p(np.exp(-np.abs(ad)))
-    sig = expit(ad)
+    sig = sigmoid(ad)
     return _record(a.tape, out, (a,), lambda g: (g * sig,))
 
 

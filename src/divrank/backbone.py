@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
@@ -169,7 +168,7 @@ def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):
     np.maximum(h, 0.0, out=h)
     h = np.maximum(h @ params["mlp_w2"] + params["mlp_b2"], 0.0)
     z = (h @ params["mlp_w3"] + params["mlp_b3"])[:, 0]
-    return expit(z)
+    return ad.sigmoid(z, out=z)
 
 
 def bce_loss(logits: Tensor, labels, weights=None) -> Tensor:

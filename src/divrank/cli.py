@@ -43,8 +43,11 @@ def _sha256(path) -> str:
 @contextlib.contextmanager
 def _atomic_open(path):
     """Write to a temporary sibling of path and move it into place only
-    when the block succeeds; on failure path is left as it was."""
-    tmp = f"{path}.tmp"
+    when the block succeeds; on failure path is left as it was. The
+    temporary name carries the pid, so concurrent runs writing one path
+    never share it."""
+    parent, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(parent, f".{name}.tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import chain, count
 
 import numpy as np
-from scipy.special import expit
+
+from .autodiff import sigmoid
 
 
 class DataError(ValueError):
@@ -262,7 +263,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
         shown = rng.choice(n, size=n_shown, replace=False)
         affinity = item_lat[cand_idx] @ user_lat[u]
-        p_click = expit(spec.preference_concentration * affinity)
+        p_click = sigmoid(spec.preference_concentration * affinity)
         clicks = rng.random(n) < p_click
 
         labels = np.full(n, -1, dtype=np.int64)

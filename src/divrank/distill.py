@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from . import backbone as bb
@@ -36,6 +35,11 @@ ALL_PARAM_NAMES = bb.BACKBONE_PARAM_NAMES + cce.CCE_PARAM_NAMES
 # most requests one stacked teacher pass labels; bounds its (R, n, d) work
 # arrays to stay cache-sized
 LABEL_CHUNK = 64
+
+# most target rows one block of the serving forward takes; bounds its
+# (2, rows, |pool|) softmax work arrays to stay cache-sized at pre-ranking
+# sizes, while a request of up to this many candidates is one block
+ROW_BLOCK = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -150,33 +154,48 @@ def context_pool(n: int, config: TrainConfig, pool_seed: int) -> np.ndarray:
 def win_probabilities_detached(params: ParamStore, rows: RequestRows,
                                config: TrainConfig) -> np.ndarray:
     """Serving path: numpy-only student forward over the request's context
-    pool, zero noise, dropout off."""
+    pool, zero noise, dropout off.
+
+    Targets run in blocks of at most ROW_BLOCK rows, split as evenly as
+    possible. A row's arithmetic does not depend on its block, so the
+    output is bitwise that of one block over all rows.
+    """
     d = config.d
     k = config.k
     n = len(rows.item_idx)
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
+    pool = rows.pool
     E = params["item_emb"][rows.item_idx]
-    E_pool = E[rows.pool]
-    q = E @ params["cce_w1"]
-    w = (q / math.sqrt(d)) @ (E_pool @ params["cce_w2"]).T
-    a = _context_weights(w, rows.pool, k)
+    E_pool = E[pool]
+    keys = (E_pool @ params["cce_w2"]).T
     # pooling is one gemm per side against the pool's value rows, with the
     # user gate folded into those rows, written into the FFN input's halves
     uv = (E_pool @ params["cce_w3"]) * params["user_emb"][rows.u_idx]
-    x = np.empty((n, 2, d))
-    np.matmul(a, uv, out=x.transpose(1, 0, 2))
-    h = x.reshape(n, 2 * d) @ params["ffn_w1"]
-    h += params["ffn_b1"]
-    np.maximum(h, 0.0, out=h)
-    c = h @ params["ffn_w2"]
-    c += params["ffn_b2"]
-    return expit(np.einsum("ij,ij->i", q, c))
+    z = np.empty(n)
+    blocks = -(-n // ROW_BLOCK)
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    # the pool is sorted, so the columns a block's rows own are one slice
+    own = np.searchsorted(pool, edges)
+    for a, b, lo, hi in zip(edges, edges[1:], own, own[1:]):
+        q = E[a:b] @ params["cce_w1"]
+        w = (q / math.sqrt(d)) @ keys
+        att = _context_weights(w, pool[lo:hi] - a, np.arange(lo, hi), k)
+        x = np.empty((b - a, 2, d))
+        np.matmul(att, uv, out=x.transpose(1, 0, 2))
+        h = x.reshape(b - a, 2 * d) @ params["ffn_w1"]
+        h += params["ffn_b1"]
+        np.maximum(h, 0.0, out=h)
+        c = h @ params["ffn_w2"]
+        c += params["ffn_b2"]
+        z[a:b] = np.einsum("ij,ij->i", q, c)
+    return ad.sigmoid(z, out=z)
 
 
-def _context_weights(w, pool, k):
-    """Zero-noise pooling weights of the (n, m) attention scores w over a
-    context pool of m candidates, where target pool[j] is column j.
+def _context_weights(w, own_rows, own_cols, k):
+    """Zero-noise pooling weights of the (n, m) attention scores w of n
+    targets over a context pool of m candidates, where target own_rows[j]
+    is the candidate of column own_cols[j].
 
     Returns a (2, n, m) array: [0] holds each row's softmax over its k
     highest scores (positive side), [1] over its k lowest (negative
@@ -191,24 +210,26 @@ def _context_weights(w, pool, k):
     all.
     """
     n, m = w.shape
-    cols = np.arange(m)
-    # an own score of +inf sorts last, so a pool row's highest other
+    # an own score of +inf sorts last, so an owning row's highest other
     # scores sit one place further in
-    w[pool, cols] = np.inf
-    # top, k-th largest and k-th smallest score of each row
-    ranks = np.array([m - 1, m - k, k - 1])
+    w[own_rows, own_cols] = np.inf
+    # top, k-th largest and k-th smallest score of each row, and the
+    # next score in from each threshold
+    ranks = np.array([m - 1, m - k, k - 1, m - k - 1, k])
     s = np.sort(w, axis=1)
     lim = s[:, ranks].T
-    lim[:, pool] = s[pool[:, None], ranks - [1, 1, 0]].T
-    top, thr_pos, thr_neg = lim
+    lim[:, own_rows] = s[own_rows[:, None], ranks - [1, 1, 0, 1, 0]].T
+    top, thr_pos, thr_neg, next_pos, next_neg = lim
     picks = np.empty((2, n, m), dtype=bool)
     np.greater_equal(w, thr_pos[:, None], out=picks[0])
-    picks[0, pool, cols] = False
+    picks[0, own_rows, own_cols] = False
     np.less_equal(w, thr_neg[:, None], out=picks[1])
-    # a row holds more than k picks only where scores tie at a threshold
-    if np.count_nonzero(picks) > 2 * n * k:
-        for side, thr in ((picks[0], thr_pos), (picks[1], thr_neg)):
-            tied = np.flatnonzero(np.count_nonzero(side, axis=1) > k)
+    # a side holds more than k picks exactly where the next score in
+    # equals its threshold
+    for side, thr, nxt in ((picks[0], thr_pos, next_pos),
+                           (picks[1], thr_neg, next_neg)):
+        tied = np.flatnonzero(nxt == thr)
+        if tied.size:
             sel = side[tied]
             at = sel & (w[tied] == thr[tied, None])
             short = k - np.count_nonzero(sel & ~at, axis=1)

@@ -19,6 +19,12 @@ greedy implementations make the same picks:
   never padded to a common n, since padding would change how the
   similarity products are summed and so flip picks on near-ties. A batch
   of one goes to mmr_greedy, which is faster at R = 1.
+
+The similarity of two candidates is s = sigmoid(x), x the dot product of
+their interest-weighted embeddings, computed as autodiff.sigmoid computes
+it: 1 / (1 + exp(-x)). Each greedy takes -ew once, so every step's
+product is already -x, and silences exp's overflow (s = 0 where
+x < -709) once per call, not once per step.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .autodiff import sigmoid_of_negated
 
 
 @dataclass
@@ -58,16 +65,19 @@ def mmr_core(acc, ew, lam, K, counters=None):
     gains = [float(acc[first])]
     chosen = np.zeros(n, dtype=bool)
     chosen[first] = True
-    for _ in range(1, K):
-        remaining = np.flatnonzero(~chosen)
-        sims = expit(ew[remaining] @ ew[selected].T)   # (|rem|, h)
-        if counters is not None:
-            counters["sim_evals"] = counters.get("sim_evals", 0) + sims.size
-        gain = acc[remaining] + lam * (1.0 - sims.max(axis=1))
-        best = int(np.argmax(gain))  # first max -> smallest candidate index
-        selected.append(int(remaining[best]))
-        gains.append(float(gain[best]))
-        chosen[remaining[best]] = True
+    neg_ew = -ew
+    with np.errstate(over="ignore"):
+        for _ in range(1, K):
+            remaining = np.flatnonzero(~chosen)
+            sims = sigmoid_of_negated(neg_ew[remaining] @ ew[selected].T)
+            if counters is not None:
+                counters["sim_evals"] = counters.get("sim_evals", 0) \
+                    + sims.size
+            gain = acc[remaining] + lam * (1.0 - sims.max(axis=1))
+            best = int(np.argmax(gain))  # first max -> smallest index
+            selected.append(int(remaining[best]))
+            gains.append(float(gain[best]))
+            chosen[remaining[best]] = True
     return selected, gains
 
 
@@ -75,33 +85,40 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
     """Exact incremental greedy: the picks of mmr_core at O(N*d) per step.
 
     After each pick only the similarities to that pick are computed and
-    folded into the running per-candidate maximum. Chosen candidates get a
-    gain of -inf through a penalty added once per pick; argmax returns the
-    first maximum, so ties go to the smaller index exactly as in mmr_core.
+    folded into the running per-candidate maximum, kept as the minimum of
+    e = exp(-x) over the picks: the sum and the reciprocal of 1 / (1 + e)
+    are correctly rounded and so monotone, so 1 / (1 + min e) is bitwise
+    the largest similarity, at one reciprocal per step. Chosen candidates get
+    a gain of -inf through an accuracy copy set to -inf at each pick;
+    argmax returns the first maximum, so ties go to the smaller index
+    exactly as in mmr_core.
     """
     n = len(acc)
     _check_size(K, n)
     last = int(np.argmax(acc))
     selected = [last]
     gains = [float(acc[last])]
-    max_sim = np.full(n, -np.inf)
-    penalty = np.zeros(n)
-    sim = np.empty(n)
+    open_acc = np.array(acc, dtype=np.float64)
+    min_e = np.full(n, np.inf)
+    e = np.empty(n)
     gain = np.empty(n)
-    for _ in range(1, K):
-        penalty[last] = -np.inf
-        np.dot(ew, ew[last], out=sim)
-        np.maximum(max_sim, expit(sim, out=sim), out=max_sim)
-        if counters is not None:
-            counters["sim_evals"] = counters.get("sim_evals", 0) + n
-        # gain = (acc + lam * (1 - max_sim)) + penalty, evaluated in place
-        np.subtract(1.0, max_sim, out=gain)
-        gain *= lam
-        gain += acc
-        gain += penalty
-        last = int(gain.argmax())
-        selected.append(last)
-        gains.append(float(gain[last]))
+    neg_ew = -ew
+    with np.errstate(over="ignore"):
+        for _ in range(1, K):
+            open_acc[last] = -np.inf
+            np.dot(neg_ew, ew[last], out=e)
+            np.minimum(min_e, np.exp(e, out=e), out=min_e)
+            if counters is not None:
+                counters["sim_evals"] = counters.get("sim_evals", 0) + n
+            # gain = acc + lam * (1 - 1 / (1 + min_e)), in place
+            np.add(min_e, 1.0, out=gain)
+            np.reciprocal(gain, out=gain)
+            np.subtract(1.0, gain, out=gain)
+            gain *= lam
+            gain += open_acc
+            last = int(gain.argmax())
+            selected.append(last)
+            gains.append(float(gain[last]))
     return selected, gains
 
 
@@ -122,21 +139,24 @@ def mmr_greedy_stacked(acc, ew, lam, K):
     last = acc.argmax(axis=1)
     picks[:, 0] = last
     gains[:, 0] = acc[reqs, last]
-    max_sim = np.full((R, n), -np.inf)
-    penalty = np.zeros((R, n))
-    sim = np.empty((R, n))
+    open_acc = np.array(acc, dtype=np.float64)
+    min_e = np.full((R, n), np.inf)
+    e = np.empty((R, n))
     gain = np.empty((R, n))
-    for h in range(1, K):
-        penalty[reqs, last] = -np.inf
-        np.matmul(ew, ew[reqs, last, :, None], out=sim[:, :, None])
-        np.maximum(max_sim, expit(sim, out=sim), out=max_sim)
-        np.subtract(1.0, max_sim, out=gain)
-        gain *= lam
-        gain += acc
-        gain += penalty
-        last = gain.argmax(axis=1)
-        picks[:, h] = last
-        gains[:, h] = gain[reqs, last]
+    neg_ew = -ew
+    with np.errstate(over="ignore"):
+        for h in range(1, K):
+            open_acc[reqs, last] = -np.inf
+            np.matmul(neg_ew, ew[reqs, last, :, None], out=e[:, :, None])
+            np.minimum(min_e, np.exp(e, out=e), out=min_e)
+            np.add(min_e, 1.0, out=gain)
+            np.reciprocal(gain, out=gain)
+            np.subtract(1.0, gain, out=gain)
+            gain *= lam
+            gain += open_acc
+            last = gain.argmax(axis=1)
+            picks[:, h] = last
+            gains[:, h] = gain[reqs, last]
     return picks, gains
 
 

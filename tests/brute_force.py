@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
-from scipy.special import expit
+
+from logistic import sigmoid
 
 
 def _order_value(order, acc, sim, lam):
@@ -25,7 +26,7 @@ def brute_force_core(acc, ew, lam, K, limit=10**6):
         raise ValueError("brute force supports K <= 4 (K! order enumeration)")
     if comb(n, K) > limit:
         raise ValueError(f"C({n},{K}) exceeds the combinatorial limit")
-    sim = expit(ew @ ew.T)
+    sim = sigmoid(ew @ ew.T)
     best_val = -np.inf
     best_subset = None
     for subset in combinations(range(n), K):

@@ -14,10 +14,11 @@ backbone.score_all_detached replaced with its folded first layer.
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from divrank import autodiff as ad
 from divrank.distill import context_pool
+
+from logistic import sigmoid
 
 
 def accuracy_scores(params, user_idx, item_idx, cat_idx):
@@ -31,7 +32,7 @@ def accuracy_scores(params, user_idx, item_idx, cat_idx):
     x = np.concatenate([eu, ei, ec, eu * ei, eu * ec], axis=1)
     h = np.maximum(x @ params["mlp_w1"] + params["mlp_b1"], 0.0)
     h = np.maximum(h @ params["mlp_w2"] + params["mlp_b2"], 0.0)
-    return expit((h @ params["mlp_w3"] + params["mlp_b3"])[:, 0])
+    return sigmoid((h @ params["mlp_w3"] + params["mlp_b3"])[:, 0])
 
 
 def win_probabilities(params, u_idx, item_idx, config, pool_seed=0):
@@ -63,7 +64,7 @@ def win_probabilities(params, u_idx, item_idx, config, pool_seed=0):
     x = np.concatenate((u_vec * c_pos, u_vec * c_neg), axis=1)
     h = np.maximum(x @ params["ffn_w1"] + params["ffn_b1"], 0.0)
     c = h @ params["ffn_w2"] + params["ffn_b2"]
-    return expit((q * c).sum(axis=1))
+    return sigmoid((q * c).sum(axis=1))
 
 
 def drop_self(cand, self_col, k):

@@ -3,6 +3,7 @@ oracle, plus tape lifecycle and error behaviour.
 """
 
 import gc
+import math
 import warnings
 import weakref
 
@@ -126,6 +127,64 @@ class TestElementwise:
 
     def test_softplus_grad(self):
         check(lambda t: ad.tsum(ad.softplus(t)), RNG.standard_normal(9))
+
+
+class TestSigmoid:
+    """ad.sigmoid against a scalar math.exp reference, at and beyond the
+    point where exp(-z) overflows."""
+
+    EDGES = np.array([1000.0, -1000.0, 745.0, -745.0, -710.0, -709.0,
+                      40.0, -40.0, 0.0])
+    GRID = np.concatenate([np.linspace(-800.0, 800.0, 40001),
+                           np.linspace(-710.0, -705.0, 5001),
+                           np.linspace(-1.0, 1.0, 2001)])
+    # numpy's and libm's exp are each within 1 ulp of exp's true value;
+    # the sum and the reciprocal then round once on each side
+    MAX_ULPS = 4
+
+    @staticmethod
+    def reference(z):
+        try:
+            return 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:   # exp(-z) is inf: the result is 0
+            return 0.0
+
+    @staticmethod
+    def ulps(a, b):
+        # non-negative doubles order as their bit patterns, subnormals too
+        return np.abs(np.asarray(a).view(np.int64)
+                      - np.asarray(b).view(np.int64))
+
+    @pytest.mark.parametrize("z", [EDGES, np.sort(GRID)],
+                             ids=["edges", "grid"])
+    def test_finite_in_range_and_close_to_reference(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ad.sigmoid(z)
+        assert np.all(np.isfinite(y)) and np.all((y >= 0.0) & (y <= 1.0))
+        want = np.array([self.reference(v) for v in z])
+        assert self.ulps(y, want).max() <= self.MAX_ULPS
+
+    def test_overflow_gives_exact_zero(self):
+        y = ad.sigmoid(self.EDGES)
+        assert y.tolist()[:5] == [1.0, 0.0, 1.0, 0.0, 0.0]
+        assert 0.0 < y[5] < 1e-300 and y[8] == 0.5
+
+    def test_never_decreases_on_a_sorted_grid(self):
+        assert np.all(np.diff(ad.sigmoid(np.sort(self.GRID))) >= 0.0)
+
+    def test_out_aliasing_the_input_matches_a_fresh_output(self):
+        z = np.concatenate([self.EDGES, self.GRID])
+        fresh = ad.sigmoid(z)
+        buf = z.copy()
+        assert ad.sigmoid(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, fresh)
+
+    def test_negated_form_matches(self):
+        # the caller of sigmoid_of_negated silences exp's overflow
+        with np.errstate(over="ignore"):
+            got = ad.sigmoid_of_negated(-self.GRID)
+        np.testing.assert_array_equal(got, ad.sigmoid(self.GRID))
 
 
 class TestReductionsShaping:

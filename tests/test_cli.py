@@ -167,7 +167,7 @@ class TestRank:
                          str(bad), "--out", str(out)], capsys)
         assert code == 2
         assert json.loads(err.err)["error"] == "DomainError"
-        assert not (tmp_path / (out.name + ".tmp")).exists()
+        assert not list(tmp_path.glob(f".{out.name}.tmp*"))
 
     def test_failure_writes_no_new_file(self, workspace, tmp_path, capsys):
         out = tmp_path / "ranked.jsonl"
@@ -191,6 +191,25 @@ class TestRank:
                          "--data", str(data_path)], capsys)
         assert code == 2
         assert json.loads(out.err)["error"] == "CheckpointError"
+
+
+class TestAtomicOpen:
+    def test_concurrent_writers_keep_their_own_temporary_file(
+            self, tmp_path, monkeypatch):
+        # a second run (another pid) writes the same path and fails while
+        # the first is still writing; the first run's file must survive
+        out = tmp_path / "ranked.jsonl"
+        pid = os.getpid()
+        with cli._atomic_open(out) as first:
+            first.write("first\n")
+            monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+            with pytest.raises(RuntimeError):
+                with cli._atomic_open(out) as second:
+                    second.write("second\n")
+                    raise RuntimeError("second run fails")
+            monkeypatch.undo()
+        assert out.read_text() == "first\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 class TestBench:

@@ -11,7 +11,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import expit, logit
 
 from divrank import autodiff as ad
 from divrank import backbone as bb
@@ -28,6 +27,7 @@ from divrank.distill import (CheckpointError, TrainingDiverged,
 import loop_oracle
 import serving_oracle
 from gradcheck import grad_check
+from logistic import logit, sigmoid
 
 
 def total_loss(model, request):
@@ -85,7 +85,7 @@ class TestLosses:
         z = np.random.default_rng(0).standard_normal(20)
         y = (np.random.default_rng(1).random(20) < 0.4).astype(float)
         a = bb.bce_loss(Tensor(z), y).item()
-        p = expit(z)
+        p = sigmoid(z)
         b = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -149,7 +149,7 @@ class TestContextPool:
             _, comps = distill.batch_loss(
                 P, [rows], [np.zeros(len(rows.item_idx))], config)
             served = win_probabilities_detached(model.params, rows, config)
-            np.testing.assert_allclose(expit(comps["z_stu"].data), served,
+            np.testing.assert_allclose(sigmoid(comps["z_stu"].data), served,
                                        rtol=0.0, atol=1e-12)
 
     def test_train_attends_over_the_serving_pool(self, small_dataset,
@@ -380,7 +380,7 @@ class TestServingPath:
             P = {n: Tensor(v) for n, v in model.params.items()}
             _, comps = distill.batch_loss(P, [rows], [y_tea], model.config)
             fast = model.win_probabilities(req)
-            np.testing.assert_allclose(fast, expit(comps["z_stu"].data),
+            np.testing.assert_allclose(fast, sigmoid(comps["z_stu"].data),
                                        atol=1e-9)
 
     @pytest.mark.parametrize("cap", [32, 10])
@@ -419,8 +419,8 @@ class TestServingPath:
         # one scalar shift of 900 would give exp(-899) = 0 in the second row
         out = serving_oracle.softmax_rows(
             np.array([[900.0, 899.0], [1.0, 0.5]]))
-        p = expit(1.0)
-        p_half = expit(0.5)
+        p = sigmoid(1.0)
+        p_half = sigmoid(0.5)
         np.testing.assert_allclose(out, [[p, 1 - p], [p_half, 1 - p_half]],
                                    rtol=1e-12)
 
@@ -453,6 +453,65 @@ class TestServingPath:
             model.student_scores(sampled_rows(model, np.zeros(2 * k)))
 
 
+class TestRowBlocks:
+    """win_probabilities_detached runs its targets in row blocks; the
+    output is bitwise that of one block over all rows."""
+
+    B = 16
+
+    @staticmethod
+    def block_spy(monkeypatch, blocks):
+        """Record, per block, its row count and whether some row's k-th
+        and (k+1)-th score from either end are equal: exactly when the tie
+        branch runs."""
+        real = distill._context_weights
+
+        def spy(w, own_rows, own_cols, k):
+            v = w.copy()
+            v[own_rows, own_cols] = np.nan    # sorts last
+            lo, hi = np.sort(v, axis=1), np.sort(-v, axis=1)
+            blocks.append((len(w), bool(np.any(lo[:, k - 1] == lo[:, k])
+                                        or np.any(hi[:, k - 1] == hi[:, k]))))
+            return real(w, own_rows, own_cols, k)
+
+        monkeypatch.setattr(distill, "_context_weights", spy)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * B + 17])
+    @pytest.mark.parametrize("cap", [32, 10])
+    def test_blocked_equals_one_block_and_the_oracle(self, trained_small,
+                                                     monkeypatch, extra,
+                                                     cap):
+        # cap 32 keeps every candidate of the smaller requests in the
+        # pool, cap 10 subsamples it; 12 distinct items in up to 65 rows
+        # put duplicated items, and so tied scores, in every block
+        model, _, _ = trained_small
+        config = dataclasses.replace(model.config,
+                                     max_context_pool=cap).validate()
+        n = self.B + extra
+        rng = np.random.default_rng(n)
+        item_idx = rng.integers(0, 12, size=n)
+        rows = sampled_rows(model, item_idx, 2, n, config)
+        monkeypatch.setattr(distill, "ROW_BLOCK", n)
+        whole = win_probabilities_detached(model.params, rows, config)
+        monkeypatch.setattr(distill, "ROW_BLOCK", self.B)
+        blocks = []
+        self.block_spy(monkeypatch, blocks)
+        blocked = win_probabilities_detached(model.params, rows, config)
+        sizes, tied = zip(*blocks)
+        # as few blocks as ROW_BLOCK allows, split as evenly as possible
+        assert len(sizes) == -(-n // self.B) and sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        if len(sizes) > 1:
+            edges = np.cumsum((0,) + sizes)
+            owning = np.diff(np.searchsorted(rows.pool, edges))
+            assert np.count_nonzero(owning) > 1   # pool rows in two blocks
+            assert sum(tied) > 1
+        np.testing.assert_array_equal(blocked, whole)
+        want = serving_oracle.win_probabilities(
+            model.params, 2, item_idx, config, pool_seed=n)
+        np.testing.assert_allclose(blocked, want, rtol=0.0, atol=1e-12)
+
+
 class TestContextWeights:
     """distill._context_weights: threshold picks off one value sort."""
 
@@ -475,7 +534,7 @@ class TestContextWeights:
         pool = np.arange(m) if n == m else np.array([0, 2, 3, 5, 8, 9, 11])
         for trial in range(50):
             w = np.random.default_rng(trial).integers(0, 4, (n, m)) * 0.5
-            a = distill._context_weights(w.copy(), pool, k)
+            a = distill._context_weights(w.copy(), pool, np.arange(m), k)
             for side, want in zip(a, self.reference_picks(w, pool, k)):
                 got = [np.flatnonzero(row).tolist() for row in side]
                 assert got == [sorted(cols) for cols in want]
@@ -489,12 +548,12 @@ class TestContextWeights:
         k = model.config.k
         # each item twice: every score has an equal twin in another column
         item_idx = np.repeat(np.arange(10), 2)
-        n = len(item_idx)
+        n = m = len(item_idx)
         E = model.params["item_emb"][item_idx]
         q = E @ model.params["cce_w1"]
         w = (q / math.sqrt(model.config.d)) @ (E @ model.params["cce_w2"]).T
         pool = np.arange(n)
-        a = distill._context_weights(w.copy(), pool, k)
+        a = distill._context_weights(w.copy(), pool, np.arange(m), k)
         for side, want in zip(a, self.reference_picks(w, pool, k)):
             assert np.all(np.count_nonzero(side, axis=1) == k)
             assert np.all(side[pool, pool] == 0.0)

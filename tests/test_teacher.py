@@ -4,12 +4,12 @@ optimality, tie-breaking, counters and the exhaustive oracle.
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from divrank import teacher
 from divrank.teacher import mmr_core, mmr_greedy, mmr_greedy_stacked
 
 from brute_force import brute_force_core
+from logistic import sigmoid
 
 RNG = np.random.default_rng(42)
 
@@ -18,7 +18,7 @@ def interest_similarity(e_i, e_j, u):
     """sigma((e_i * u) . (e_j * u)) in (0, 1): the teacher's similarity
     for one pair, in scalar form."""
     e_i, e_j, u = (np.asarray(v, dtype=np.float64) for v in (e_i, e_j, u))
-    return float(expit(np.dot(e_i * u, e_j * u)))
+    return float(sigmoid(np.dot(e_i * u, e_j * u)))
 
 
 def div_score(e_cand, selected_embs, u):
@@ -55,7 +55,7 @@ class TestSimilarity:
 
     def test_matches_definition(self):
         e_i, e_j, u = np.eye(3)[0], np.ones(3), np.array([2.0, 0.0, 1.0])
-        expected = expit(np.dot(e_i * u, e_j * u))
+        expected = sigmoid(np.dot(e_i * u, e_j * u))
         assert interest_similarity(e_i, e_j, u) == pytest.approx(expected)
 
     def test_interest_weighting_can_hide_similarity(self):
@@ -89,7 +89,7 @@ class TestGreedySelection:
             acc, ew = random_instance(n=10)
             lam = 0.4
             selected, gains = mmr_core(acc, ew, lam, K=5)
-            sim = expit(ew @ ew.T)
+            sim = sigmoid(ew @ ew.T)
             for h in range(1, 5):
                 prev = selected[:h]
                 best = -np.inf
@@ -216,7 +216,7 @@ class TestBruteForceOracle:
         acc = np.array([0.3, 0.8])
         ew = RNG.standard_normal((2, 3))
         subset, val = brute_force_core(acc, ew, 0.5, K=2)
-        sim = expit(ew @ ew.T)
+        sim = sigmoid(ew @ ew.T)
         expected = acc[1] + acc[0] + 0.5 * (1.0 - sim[0, 1])
         assert sorted(subset) == [0, 1]
         assert val == pytest.approx(expected)
