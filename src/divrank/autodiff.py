@@ -41,7 +41,7 @@ class Tape:
     def __init__(self):
         self._parents = []   # per node: tuple of parent node ids
         self._backs = []     # per node: callable(grad) -> tuple of parent grads
-        self._leaves = []    # (node_id, Tensor) for requires_grad leaves
+        self._leaves = []    # (node_id, Tensor) per leaf
         self._consumed = False
 
     def __len__(self):
@@ -52,16 +52,14 @@ class Tape:
         self._backs.append(back)
         return len(self._parents) - 1
 
-    def leaf(self, values, requires_grad=True):
-        t = Tensor(values, tape=self if requires_grad else None,
-                   requires_grad=requires_grad)
-        if requires_grad:
-            t.node = self._push((), None)
-            self._leaves.append((t.node, t))
+    def leaf(self, values):
+        t = Tensor(values, tape=self)
+        t.node = self._push((), None)
+        self._leaves.append((t.node, t))
         return t
 
     def backward(self, loss: "Tensor"):
-        """Populate .grad on every requires_grad leaf of this tape."""
+        """Populate .grad on every leaf of this tape."""
         if self._consumed:
             raise TapeStateError("backward() already ran on this tape")
         if loss.tape is not self:
@@ -97,13 +95,12 @@ class Tape:
 class Tensor:
     """Dense row-major float64 array, optionally recorded on a tape."""
 
-    __slots__ = ("data", "tape", "node", "requires_grad", "grad")
+    __slots__ = ("data", "tape", "node", "grad")
 
-    def __init__(self, values, tape=None, requires_grad=False):
+    def __init__(self, values, tape=None):
         self.data = _as_array(values)
         self.tape = tape
         self.node = None
-        self.requires_grad = requires_grad
         self.grad = None
 
     @property
@@ -228,14 +225,13 @@ def matmul(a, b):
     return _record(tape, ad @ bd, (a, b), back)
 
 
-def segment_matmul(a, b, a_offsets, b_offsets, transpose_b=False):
+def segment_matmul(a, b, a_off, b_off, transpose_b=False):
     """Block-diagonal matrix product over matching row segments.
 
-    Rows a_offsets[r]:a_offsets[r+1] of a meet only the m_r rows
-    b_offsets[r]:b_offsets[r+1] of b. With transpose_b each block is
-    a_r @ b_r.T, written left-aligned into an (len(a), max m_r) output
-    that is 0 elsewhere; without it each block is a_r[:, :m_r] @ b_r, and
-    a's columns past m_r are not read.
+    Rows a_off[r]:a_off[r+1] of a meet only the m_r rows b_off[r]:b_off[r+1]
+    of b. With transpose_b each block is a_r @ b_r.T, written left-aligned
+    into an (len(a), max m_r) output that is 0 elsewhere; without it each
+    block is a_r[:, :m_r] @ b_r, and a's columns past m_r are not read.
     """
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -243,7 +239,7 @@ def segment_matmul(a, b, a_offsets, b_offsets, transpose_b=False):
     tape = _tape_of(a, b)
     ad, bd = a.data, b.data
     blocks = [(slice(a0, a1), slice(b0, b1), b1 - b0) for a0, a1, b0, b1 in
-              zip(a_offsets[:-1], a_offsets[1:], b_offsets[:-1], b_offsets[1:])]
+              zip(a_off[:-1], a_off[1:], b_off[:-1], b_off[1:])]
     if transpose_b:
         out = np.zeros((ad.shape[0], max(m for _, _, m in blocks)))
         for ra, rb, m in blocks:

@@ -102,9 +102,6 @@ def param_shapes(n_items, n_cats, n_users, d) -> dict:
             "mlp_b3": (1,)}
 
 
-BACKBONE_PARAM_NAMES = tuple(param_shapes(0, 0, 0, 1))
-
-
 def init_backbone(params: ParamStore, n_items, n_cats, n_users, d, rng,
                   emb_scale: float = 0.1):
     """Install freshly initialized backbone tables and scorer weights.

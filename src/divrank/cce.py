@@ -24,9 +24,6 @@ def param_shapes(d: int) -> dict:
             "ffn_w2": (2 * d, d), "ffn_b2": (d,)}
 
 
-CCE_PARAM_NAMES = tuple(param_shapes(1))
-
-
 def init_cce(params: ParamStore, d: int, rng):
     """Glorot-uniform weight matrices and zero biases."""
     for name, shape in param_shapes(d).items():
@@ -41,30 +38,20 @@ def gumbel_noise(u):
     return -np.log(-np.log(u))
 
 
-def _offsets(n_rows, n_pool, segments):
-    """(row offsets, pool offsets): segments itself, or without it one
-    request holding every row and every pool row."""
-    return ((0, n_rows), (0, n_pool)) if segments is None else segments
-
-
-def attention_scores_all(P, q: Tensor, E_pool: Tensor,
-                         segments=None) -> Tensor:
+def attention_scores_all(P, q: Tensor, E_pool: Tensor, segments) -> Tensor:
     """Scaled dot-product scores of the targets' queries q = E @ cce_w1
     against the context-pool keys E_pool @ cce_w2, unmasked.
 
-    segments = (row_offsets, pool_offsets): rows row_offsets[r]:
-    row_offsets[r+1] of q are request r's targets and meet only its pool,
-    rows pool_offsets[r]:pool_offsets[r+1] of E_pool. The (N, width)
-    result holds each request's scores left-aligned, with width its widest
-    pool and 0 beyond a narrower one. Without segments all rows are one
-    request.
+    segments = (row_off, pool_off): rows row_off[r]:row_off[r+1] of q are
+    request r's targets and meet only its pool, rows
+    pool_off[r]:pool_off[r+1] of E_pool. The (N, width) result holds each
+    request's scores left-aligned, with width its widest pool and 0 beyond
+    a narrower one.
     """
     d = q.data.shape[-1]
     keys = ad.matmul(E_pool, P["cce_w2"])
-    row_off, pool_off = _offsets(q.data.shape[0], E_pool.data.shape[0],
-                                 segments)
-    return ad.scale(ad.segment_matmul(q, keys, row_off, pool_off,
-                                      transpose_b=True), 1.0 / math.sqrt(d))
+    return ad.scale(ad.segment_matmul(q, keys, *segments, transpose_b=True),
+                    1.0 / math.sqrt(d))
 
 
 def sample_contexts(w: Tensor, mask, k: int,

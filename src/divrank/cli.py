@@ -1,8 +1,4 @@
-"""Command line entry points: gen-data, train, evaluate, rank and bench.
-
-Thread pinning happens before any numeric module is imported, so the
-subcommand handlers import the rest of the package lazily.
-"""
+"""Command line entry points: gen-data, train, evaluate, rank and bench."""
 
 from __future__ import annotations
 
@@ -15,17 +11,10 @@ import resource
 import sys
 from datetime import datetime, timezone
 
-
-def _pin_threads(argv):
-    n = os.environ.get("DIVRANK_THREADS", "1")
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif arg.startswith("--threads="):
-            n = arg.split("=", 1)[1]
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
+from .backbone import TrainConfig
+from .data import SyntheticSpec, generate_synthetic, load_jsonl, save_jsonl
+from .distill import load_checkpoint, save_checkpoint, train
+from .evaluation import evaluate_model, fused_rank, latency_bench
 
 
 def _utc_now() -> str:
@@ -73,7 +62,10 @@ def _emit(payload, out_path=None):
 
 
 def _fail(exc, code=2):
-    json.dump({"error": type(exc).__name__, "message": str(exc)},
+    # str() of a KeyError is the repr of its argument, quotes and all
+    message = (str(exc.args[0]) if isinstance(exc, KeyError) and exc.args
+               else str(exc))
+    json.dump({"error": type(exc).__name__, "message": message},
               sys.stderr, indent=2)
     sys.stderr.write("\n")
     return code
@@ -103,8 +95,6 @@ def _run_manifest(command, args_dict, inputs, outputs, config=None,
 
 
 def cmd_gen_data(args):
-    from .data import SyntheticSpec, generate_synthetic, save_jsonl
-
     started = _utc_now()
     if os.path.exists(args.out) and not args.force:
         raise FileExistsError(
@@ -128,8 +118,6 @@ def cmd_gen_data(args):
 
 
 def _resolve_config(args):
-    from .backbone import TrainConfig
-
     base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -148,9 +136,6 @@ def _resolve_config(args):
 
 
 def cmd_train(args):
-    from .data import load_jsonl
-    from .distill import save_checkpoint, train
-
     started = _utc_now()
     config = _resolve_config(args)
     dataset = load_jsonl(args.data)
@@ -170,15 +155,12 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    from .data import load_jsonl
-    from .distill import load_checkpoint
-    from .evaluation import evaluate_model
-
     started = _utc_now()
     model = load_checkpoint(args.checkpoint)
     dataset = load_jsonl(args.data)
     Ks = [int(v) for v in args.ks.split(",")]
-    gammas = [float(v) for v in args.gammas.split(",")]
+    gammas = ([float(v) for v in args.gammas.split(",")] if args.gammas
+              else sorted({0.0, model.config.gamma}))
     reports = evaluate_model(model, dataset, Ks, gammas)
     payload = {
         "reports": [r.to_dict() for r in reports],
@@ -192,16 +174,13 @@ def cmd_evaluate(args):
 
 
 def cmd_rank(args):
-    from .data import load_jsonl
-    from .distill import load_checkpoint
-    from .evaluation import fused_rank
-
     model = load_checkpoint(args.checkpoint)
+    gamma = model.config.gamma if args.gamma is None else args.gamma
     dataset = load_jsonl(args.data)
     with (_atomic_open(args.out) if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         for request in dataset.requests:
-            ranked = fused_rank(model, request, args.K, args.gamma)
+            ranked = fused_rank(model, request, args.K, gamma)
             json.dump({"request_id": ranked.request_id,
                        "items": ranked.item_ids,
                        "scores": [float(s) for s in ranked.scores]}, out)
@@ -210,9 +189,6 @@ def cmd_rank(args):
 
 
 def cmd_bench(args):
-    from .distill import load_checkpoint
-    from .evaluation import latency_bench
-
     started = _utc_now()
     model = load_checkpoint(args.checkpoint)
     result = latency_bench(model, N=args.N, K=args.K, repeats=args.repeats,
@@ -231,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divrank",
         description="diversified ranking: teacher distillation toolkit")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS/OpenMP thread cap (default: "
-                             "DIVRANK_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic JSONL dataset")
@@ -271,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--ks", default="5,10,20")
-    p.add_argument("--gammas", default="0.0,0.1")
+    p.add_argument("--gammas",
+                   help="comma-separated fusion weights (default: 0 and "
+                        "the checkpoint's gamma)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
@@ -279,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--K", type=int, default=20)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--gamma", type=float,
+                   help="fusion weight (default: the checkpoint's gamma)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
@@ -295,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _pin_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -30,8 +30,6 @@ from .autodiff import ParamStore, Tensor
 from .backbone import TrainConfig, VocabError
 from .data import Dataset, split_train_eval
 
-ALL_PARAM_NAMES = bb.BACKBONE_PARAM_NAMES + cce.CCE_PARAM_NAMES
-
 # most requests one stacked teacher pass labels; bounds its (R, n, d) work
 # arrays to stay cache-sized
 LABEL_CHUNK = 64
@@ -114,10 +112,6 @@ class CDMModel:
 
     def win_probabilities(self, request) -> np.ndarray:
         return self.student_scores(self.request_arrays(request))
-
-    def copy(self) -> "CDMModel":
-        return CDMModel(self.config, self.item_category, self.category_ids,
-                        self.user_ids, params=self.params.copy())
 
 
 @dataclass(eq=False)

@@ -81,7 +81,7 @@ def mmr_core(acc, ew, lam, K, counters=None):
     return selected, gains
 
 
-def mmr_greedy(acc, ew, lam, K, counters=None):
+def mmr_greedy(acc, ew, lam, K):
     """Exact incremental greedy: the picks of mmr_core at O(N*d) per step.
 
     After each pick only the similarities to that pick are computed and
@@ -108,8 +108,6 @@ def mmr_greedy(acc, ew, lam, K, counters=None):
             open_acc[last] = -np.inf
             np.dot(neg_ew, ew[last], out=e)
             np.minimum(min_e, np.exp(e, out=e), out=min_e)
-            if counters is not None:
-                counters["sim_evals"] = counters.get("sim_evals", 0) + n
             # gain = acc + lam * (1 - 1 / (1 + min_e)), in place
             np.add(min_e, 1.0, out=gain)
             np.reciprocal(gain, out=gain)

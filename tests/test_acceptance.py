@@ -149,7 +149,7 @@ class TestJointLossGradient:
         y_tea = teach.mmr_select(req, model, cfg.lam, 3).y_tea
 
         worst = {}
-        for name in distill.ALL_PARAM_NAMES:
+        for name in model.params.names():
             def f(leaf, _name=name):
                 P = {n: Tensor(v) for n, v in model.params.items()}
                 P[_name] = leaf

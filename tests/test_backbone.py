@@ -61,7 +61,9 @@ class TestInit:
         assert params["mlp_w1"].shape == (30, h1)
         assert params["mlp_w2"].shape == (h1, h2)
         assert params["mlp_w3"].shape == (h2, 1)
-        assert set(params.names()) == set(bb.BACKBONE_PARAM_NAMES)
+        assert set(params.names()) == {
+            "item_emb", "cat_emb", "user_emb", "mlp_w1", "mlp_b1", "mlp_w2",
+            "mlp_b2", "mlp_w3", "mlp_b3"}
 
     def test_deterministic_under_seed(self):
         a, b = make_params(seed=5), make_params(seed=5)

@@ -100,7 +100,8 @@ class TestAttentionScores:
         E = RNG.standard_normal((5, d))
         pool = [0, 2, 3]
         q = E @ params["cce_w1"]
-        w = attention_scores_all(P, Tensor(q), Tensor(E[pool])).data
+        w = attention_scores_all(P, Tensor(q), Tensor(E[pool]),
+                                 ((0, 5), (0, 3))).data
         keys = E[pool] @ params["cce_w2"]
         assert w.shape == (5, 3)
         np.testing.assert_allclose(w, q @ keys.T / math.sqrt(d), atol=1e-12)
@@ -153,7 +154,7 @@ class TestSampleContexts:
         E = RNG.standard_normal((n, d))
         pool = np.array([0, 2, 3, 5, 7, 8, 10, 11])
         w = attention_scores_all(P, ad.matmul(Tensor(E), P["cce_w1"]),
-                                 Tensor(E[pool]))
+                                 Tensor(E[pool]), ((0, n), (0, len(pool))))
         rng = np.random.default_rng(0)
         for _ in range(30):
             for a in sample_contexts(w, self_mask(n, pool), k,
@@ -255,7 +256,8 @@ class TestSampleContexts:
     def test_pool_too_small_rejected(self):
         _, P = make_P(4)
         E = Tensor(RNG.standard_normal((5, 4)))
-        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
+        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E,
+                                 ((0, 5), (0, 5)))
         with pytest.raises(DomainError):
             sample_contexts(w, self_mask(5, np.arange(5)), 3)
 
@@ -275,7 +277,8 @@ class TestSampleContexts:
         tape = Tape()
         params, P = make_P(6, tape=tape)
         E = Tensor(RNG.standard_normal((10, 6)))
-        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E)
+        w = attention_scores_all(P, ad.matmul(E, P["cce_w1"]), E,
+                                 ((0, 10), (0, 10)))
         a_pos, a_neg = sample_contexts(
             w, self_mask(10, np.arange(10)), 2,
             np.random.default_rng(1).random((2, 10, 10)))

@@ -2,13 +2,20 @@
 reporting and option precedence.
 """
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 
 import pytest
 
 from divrank import cli
 from divrank.data import load_jsonl
+from divrank.distill import CDMModel, load_checkpoint, save_checkpoint
+from divrank.evaluation import fused_rank
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 GEN_ARGS = ["gen-data", "--seed", "5", "--num-users", "8",
             "--num-requests", "20", "--catalog-size", "50",
@@ -139,6 +146,52 @@ class TestEvaluate:
         assert json.loads(out.out)["reports"][0]["K"] == 3
 
 
+@pytest.fixture(scope="module")
+def gamma_checkpoint(workspace):
+    """The workspace checkpoint re-saved with a training gamma of 0.3,
+    away from rank's and evaluate's old fixed defaults."""
+    root, _, ckpt = workspace
+    model = load_checkpoint(ckpt)
+    model = CDMModel(dataclasses.replace(model.config, gamma=0.3),
+                     model.item_category, model.category_ids, model.user_ids,
+                     params=model.params)
+    path = root / "ckpt_gamma03"
+    save_checkpoint(model, path)
+    return path, model
+
+
+class TestCheckpointGamma:
+    def test_rank_defaults_to_checkpoint_gamma(self, workspace,
+                                               gamma_checkpoint, tmp_path):
+        _, data_path, _ = workspace
+        path, model = gamma_checkpoint
+        out = tmp_path / "ranked.jsonl"
+        assert cli.main(["rank", "--checkpoint", str(path), "--data",
+                         str(data_path), "--K", "5", "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        requests = load_jsonl(data_path).requests
+        assert len(lines) == len(requests)
+        for line, request in zip(lines, requests):
+            want = fused_rank(model, request, 5, gamma=0.3)
+            assert line["items"] == want.item_ids
+            assert line["scores"] == [float(s) for s in want.scores]
+        # the old fixed default would have ranked differently
+        assert any(
+            line["scores"] != [float(s) for s in
+                               fused_rank(model, request, 5, 0.1).scores]
+            for line, request in zip(lines, requests))
+
+    def test_evaluate_defaults_to_zero_and_checkpoint_gamma(
+            self, workspace, gamma_checkpoint, capsys):
+        _, data_path, _ = workspace
+        path, _ = gamma_checkpoint
+        code, out = run(["evaluate", "--checkpoint", str(path), "--data",
+                         str(data_path), "--ks", "3"], capsys)
+        assert code == 0
+        reports = json.loads(out.out)["reports"]
+        assert [r["gamma"] for r in reports] == [0.0, 0.3]
+
+
 class TestRank:
     def test_jsonl_output_shape(self, workspace, tmp_path):
         _, data_path, ckpt = workspace
@@ -192,6 +245,21 @@ class TestRank:
         assert code == 2
         assert json.loads(out.err)["error"] == "CheckpointError"
 
+    def test_unknown_item_message_is_unquoted(self, workspace, tmp_path,
+                                              capsys):
+        # VocabError is a KeyError, whose str() is the repr of its message
+        _, data_path, ckpt = workspace
+        lines = data_path.read_text().splitlines()
+        req = json.loads(lines[0])
+        req["candidates"][0]["item_id"] = "zzz"
+        bad = tmp_path / "unknown.jsonl"
+        bad.write_text(json.dumps(req) + "\n")
+        code, out = run(["rank", "--checkpoint", str(ckpt),
+                         "--data", str(bad)], capsys)
+        assert code == 2
+        assert json.loads(out.err) == {"error": "VocabError",
+                                       "message": "unknown item id: 'zzz'"}
+
 
 class TestAtomicOpen:
     def test_concurrent_writers_keep_their_own_temporary_file(
@@ -225,13 +293,27 @@ class TestBench:
         assert payload["crossover_K"] in (None, 25, 50, 100, 200)
 
 
-class TestThreadPinning:
-    def test_flag_sets_environment(self, monkeypatch):
-        monkeypatch.delenv("DIVRANK_THREADS", raising=False)
-        cli._pin_threads(["--threads", "3", "bench"])
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-        cli._pin_threads(["bench"])
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-        monkeypatch.setenv("DIVRANK_THREADS", "5")
-        cli._pin_threads(["bench"])
-        assert os.environ["OMP_NUM_THREADS"] == "5"
+def readme_commands():
+    """Each `divrank ...` command line in README.md's shell blocks, with
+    backslash continuations joined and leading VAR=value words dropped."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            while words and re.fullmatch(r"\w+=\S*", words[0]):
+                words.pop(0)
+            if words[:1] == ["divrank"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 6
+    assert {c[0] for c in commands} == {"gen-data", "train", "evaluate",
+                                        "rank", "bench"}
+    parser = cli.build_parser()
+    for words in commands:
+        parser.parse_args(words)

@@ -20,7 +20,7 @@ from divrank import distill
 from divrank import teacher as teach
 from divrank.autodiff import Tensor
 from divrank.backbone import TrainConfig, VocabError
-from divrank.distill import (CheckpointError, TrainingDiverged,
+from divrank.distill import (CDMModel, CheckpointError, TrainingDiverged,
                              load_checkpoint, save_checkpoint, train,
                              win_probabilities_detached)
 
@@ -107,7 +107,7 @@ class TestLosses:
             P, [model.request_arrays(req)], [y_tea], model.config,
             rng=np.random.default_rng(0))
         tape.backward(total)
-        for name in distill.ALL_PARAM_NAMES:
+        for name in model.params.names():
             assert np.abs(P[name].grad).max() > 0.0, name
 
     def test_eval_mode_loss_is_deterministic(self, small_model_and_data):
@@ -197,7 +197,7 @@ class TestContextPool:
         rows = distill.RequestRows(1, item_idx, cat_idx, labels, 9, config)
         assert len(rows.pool) == 7
 
-        for name in distill.ALL_PARAM_NAMES:
+        for name in params.names():
             def f(leaf, name=name):
                 P = {k: Tensor(v) for k, v in params.items()}
                 P[name] = leaf
@@ -292,7 +292,7 @@ class TestBatchedStep:
             tape.backward(loss)
             batched.sgd_step(P, config.lr)
             assert loss.item() == pytest.approx(want, abs=1e-12)
-            for name in distill.ALL_PARAM_NAMES:
+            for name in batched.names():
                 np.testing.assert_allclose(batched[name], oracle[name],
                                            rtol=0.0, atol=1e-12, err_msg=name)
         # both consumed the same random numbers
@@ -301,7 +301,7 @@ class TestBatchedStep:
     def test_gradient_on_ragged_batch(self):
         config = self.config()
         params, batch, y_teas = self.ragged_batch(config)
-        for name in distill.ALL_PARAM_NAMES:
+        for name in params.names():
             def f(leaf, name=name):
                 P = {k: Tensor(v) for k, v in params.items()}
                 P[name] = leaf
@@ -772,7 +772,9 @@ class TestCheckpoint:
         path = tmp_path / "ckpt"
         save_checkpoint(model, path, history)
         before = {f.name: f.read_bytes() for f in path.iterdir()}
-        other = model.copy()
+        other = CDMModel(model.config, model.item_category,
+                         model.category_ids, model.user_ids,
+                         params=model.params.copy())
         other.params["item_emb"][:] += 1.0
         self.fail_on_vocab(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
@@ -786,7 +788,9 @@ class TestCheckpoint:
         path = tmp_path / "ckpt"
         save_checkpoint(model, path, history)
         (path / "run_manifest.json").write_text("{}")
-        other = model.copy()
+        other = CDMModel(model.config, model.item_category,
+                         model.category_ids, model.user_ids,
+                         params=model.params.copy())
         other.params["item_emb"][:] += 1.0
         save_checkpoint(other, path)
         np.testing.assert_array_equal(load_checkpoint(path).params["item_emb"],

@@ -166,12 +166,6 @@ class TestIncrementalGreedy:
         with pytest.raises(ValueError):
             mmr_greedy(acc, ew, 0.1, K=5)
 
-    def test_counter_counts_one_row_per_pick(self):
-        acc, ew = random_instance(n=20)
-        counters = {}
-        mmr_greedy(acc, ew, 0.1, K=5, counters=counters)
-        assert counters["sim_evals"] == 4 * 20
-
 
 class TestStackedGreedy:
     @pytest.mark.parametrize("R", [1, 2, 7, 64])
