@@ -168,20 +168,6 @@ def add(a, b):
     return _record(tape, out, (a, b), back)
 
 
-def sub(a, b):
-    a, b = _coerce(a), _coerce(b)
-    tape = _tape_of(a, b)
-    out = a.data - b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
-    need_a, need_b = a.node is not None, b.node is not None
-
-    def back(g):
-        return (_unbroadcast(g, a_shape) if need_a else None,
-                _unbroadcast(-g, b_shape) if need_b else None)
-
-    return _record(tape, out, (a, b), back)
-
-
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
     tape = _tape_of(a, b)
@@ -194,11 +180,6 @@ def mul(a, b):
                 _unbroadcast(g * ad, bd.shape) if need_b else None)
 
     return _record(tape, out, (a, b), back)
-
-
-def neg(a):
-    a = _coerce(a)
-    return _record(a.tape, -a.data, (a,), lambda g: (-g,))
 
 
 def scale(a, s: float):
@@ -329,16 +310,11 @@ def tsum(a, axis=None, keepdims=False):
     return _record(a.tape, out, (a,), back)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = _coerce(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def weighted_mean(a, weights=None):
     """sum(weights * a) over all entries; weights=None is the plain mean."""
+    a = _coerce(a)
     if weights is None:
-        return tmean(a)
+        return scale(tsum(a), 1.0 / a.data.size)
     return tsum(mul(np.asarray(weights, dtype=np.float64), a))
 
 
@@ -422,13 +398,6 @@ def gather_rows(table, idx):
                             minlength=shape[0] * cols).reshape(shape),)
 
     return _record(table.tape, out, (table,), back)
-
-
-def add_constant(a, c):
-    """Add a non-differentiable numpy array (e.g. noise, masks)."""
-    a = _coerce(a)
-    return _record(a.tape, a.data + np.asarray(c, dtype=np.float64), (a,),
-                   lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

@@ -181,5 +181,5 @@ def bce_loss(logits: Tensor, labels, weights=None) -> Tensor:
         raise ValueError("bce_loss over an empty labeled set")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    return ad.weighted_mean(ad.sub(ad.softplus(logits), ad.mul(y, logits)),
+    return ad.weighted_mean(ad.add(ad.softplus(logits), ad.mul(-y, logits)),
                             weights)

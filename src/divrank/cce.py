@@ -81,16 +81,18 @@ def sample_contexts(w: Tensor, mask, k: int,
     n = w.data.shape[-1]
     if 2 * k > n - 1:
         raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
-    x_pos, x_neg = w, ad.neg(w)
+    # the negative side records w - g, the input of its softmax; its picks
+    # are the k largest of x = g - w
+    v_pos = v_neg = w
     if u is not None:
-        x_pos = ad.add_constant(x_pos, gumbel_noise(u[0]))
-        x_neg = ad.add_constant(x_neg, gumbel_noise(u[1]))
-    keep_pos, s_pos = _top_k(x_pos.data + mask, k)
-    keep_neg, s_neg = _top_k(x_neg.data + mask, k)
+        v_pos = ad.add(w, gumbel_noise(u[0]))
+        v_neg = ad.add(w, -gumbel_noise(u[1]))
+    keep_pos, s_pos = _top_k(v_pos.data + mask, k)
+    keep_neg, s_neg = _top_k(mask - v_neg.data, k)
     # the mask is 0 at every pick, so each side's largest pick is read
     # off its sort: the top value, and the k-th largest negated
-    return (ad.softmax(x_pos, keep_pos, shift=s_pos[:, -1]),
-            ad.softmax(ad.neg(x_neg), keep_neg, shift=-s_neg[:, -k]))
+    return (ad.softmax(v_pos, keep_pos, shift=s_pos[:, -1]),
+            ad.softmax(v_neg, keep_neg, shift=-s_neg[:, -k]))
 
 
 def _top_k(x, k):
@@ -108,7 +110,7 @@ def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,
         raise ad.DomainError("InfoNCE temperature must be positive")
     s_pos = ad.tsum(ad.mul(q, c_pos), axis=-1)
     s_neg = ad.tsum(ad.mul(q, c_neg), axis=-1)
-    margin = ad.scale(ad.sub(s_neg, s_pos), 1.0 / t)
+    margin = ad.scale(ad.add(s_neg, ad.scale(s_pos, -1.0)), 1.0 / t)
     return ad.weighted_mean(ad.softplus(margin), weights)
 
 

@@ -122,14 +122,9 @@ def _resolve_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
-    overrides = {
-        "seed": args.seed, "d": args.d, "lr": args.lr,
-        "batch_size": args.batch_size, "lam": args.lam, "gamma": args.gamma,
-        "k": args.k, "K_teacher": args.K_teacher,
-        "warm_epochs": args.warm_epochs, "joint_epochs": args.joint_epochs,
-        "eval_fraction": args.eval_fraction, "patience": args.patience,
-    }
-    for key, value in overrides.items():
+    # each train flag's dest is its TrainConfig field name
+    for key in TrainConfig.__dataclass_fields__:
+        value = getattr(args, key, None)
         if value is not None:
             base[key] = value
     return TrainConfig.from_dict(base)

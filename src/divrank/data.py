@@ -249,15 +249,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         # oversample preferred categories so pools contain dense clusters
         n_pref = min(int(round(0.6 * n)), sum(len(by_cat[g]) for g in pref))
         chosen = []
+        free = np.ones(spec.catalog_size, dtype=bool)
         if n_pref > 0 and len(pref) > 0:
             pool = np.concatenate([by_cat[g] for g in pref])
             take = min(n_pref, len(pool))
             chosen.append(rng.choice(pool, size=take, replace=False))
-        already = set(chosen[0].tolist()) if chosen else set()
-        rest_pool = np.array([i for i in range(spec.catalog_size)
-                              if i not in already])
+            free[chosen[0]] = False
         n_rest = n - (len(chosen[0]) if chosen else 0)
-        chosen.append(rng.choice(rest_pool, size=n_rest, replace=False))
+        chosen.append(rng.choice(np.flatnonzero(free), size=n_rest,
+                                 replace=False))
         cand_idx = np.concatenate(chosen)
         rng.shuffle(cand_idx)
 

@@ -5,6 +5,7 @@ latency benchmark comparing the student against the greedy teacher.
 from __future__ import annotations
 
 import heapq
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass
@@ -150,16 +151,11 @@ def auc_score(labels, scores) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a run of c tied scores ending at 1-based sorted position e shares
+    # the midrank e - (c - 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -335,5 +331,8 @@ def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
             "machine": platform.machine(),
             "system": platform.system(),
             "numpy": np.__version__,
+            # BLAS threads move the teacher/student speed ratio
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         },
     }

@@ -72,12 +72,12 @@ def sample_contexts(w, mask, k, rng=None):
     """(pos_idx, w_pos, neg_idx, w_neg): each side's k pool columns and
     its perturbed scores gathered there. The mask is added before the
     noise; the positive side draws its uniforms first."""
-    w_pos = ad.add_constant(w, mask)
-    w_neg = ad.add_constant(ad.neg(w), mask)
+    w_pos = ad.add(w, mask)
+    w_neg = ad.add(ad.scale(w, -1.0), mask)
     if rng is not None:
-        w_pos = ad.add_constant(w_pos, cce.gumbel_noise(
+        w_pos = ad.add(w_pos, cce.gumbel_noise(
             rng.random(w_pos.data.shape)))
-        w_neg = ad.add_constant(w_neg, cce.gumbel_noise(
+        w_neg = ad.add(w_neg, cce.gumbel_noise(
             rng.random(w_neg.data.shape)))
     pos_idx = hard_topk(w_pos.data, k)
     neg_idx = hard_topk(w_neg.data, k)
@@ -123,7 +123,8 @@ def request_loss(P, rows, y_tea, config, rng=None):
     pos_idx, w_pos, neg_idx, w_neg = sample_contexts(w, mask, config.k, rng)
     values = ad.matmul(E_pool, P["cce_w3"])
     c_pos = _pool(ad.softmax(w_pos), ad.gather_rows(values, pos_idx))
-    c_neg = _pool(ad.softmax(ad.neg(w_neg)), ad.gather_rows(values, neg_idx))
+    c_neg = _pool(ad.softmax(ad.scale(w_neg, -1.0)),
+                  ad.gather_rows(values, neg_idx))
 
     q = ad.matmul(E, P["cce_w1"])
     loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t)

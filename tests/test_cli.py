@@ -2,6 +2,7 @@
 reporting and option precedence.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ import shlex
 import pytest
 
 from divrank import cli
+from divrank.backbone import TrainConfig
 from divrank.data import load_jsonl
 from divrank.distill import CDMModel, load_checkpoint, save_checkpoint
 from divrank.evaluation import fused_rank
@@ -98,6 +100,15 @@ class TestTrain:
         resolved = json.loads((out / "config.json").read_text())
         assert resolved["lr"] == 0.111
         assert resolved["seed"] == 9
+
+    def test_every_flag_is_a_config_field(self):
+        # _resolve_config reads flags by TrainConfig field name, so a
+        # misnamed flag would be silently ignored
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["train"]._actions}
+        fields = set(TrainConfig.__dataclass_fields__)
+        assert dests - {"help", "data", "out", "config"} <= fields
 
     def test_unknown_config_field_errors(self, workspace, tmp_path, capsys):
         _, data_path, _ = workspace

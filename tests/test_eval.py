@@ -2,6 +2,8 @@
 hand-computed reference values.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,13 @@ class TestAuc:
     def test_matches_pairwise_counting(self):
         rng = np.random.default_rng(3)
         y = (rng.random(50) < 0.4).astype(int)
-        s = rng.random(50)
-        pairs = [(si, sj) for si, yi in zip(s, y) if yi
-                 for sj, yj in zip(s, y) if not yj]
-        ref = np.mean([1.0 if a > b else 0.5 if a == b else 0.0
-                       for a, b in pairs])
-        assert auc_score(y, s) == pytest.approx(ref, abs=1e-12)
+        # distinct scores, and integer scores where most entries tie
+        for s in (rng.random(50), rng.integers(0, 4, 50).astype(float)):
+            pairs = [(si, sj) for si, yi in zip(s, y) if yi
+                     for sj, yj in zip(s, y) if not yj]
+            ref = np.mean([1.0 if a > b else 0.5 if a == b else 0.0
+                           for a, b in pairs])
+            assert auc_score(y, s) == pytest.approx(ref, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +236,8 @@ class TestLatencyBench:
         assert 1 <= out["distinct_items"] <= min(300, len(model.item_ids))
         assert out["heap_comparison_ratio"] == pytest.approx(2.0, rel=0.25)
         assert out["environment"]["numpy"]
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert out["environment"][key] == os.environ.get(key)
         assert out["crossover_K"] in (None, 25, 50, 100, 200, 300)
 
     def test_crossover_k_is_first_ladder_k_where_greedy_catches_up(self):
