@@ -296,26 +296,17 @@ def softplus(a):
 # reductions / shaping
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     a = _coerce(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
     shape = a.data.shape
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _record(a.tape, out, (a,), back)
-
-
-def weighted_mean(a, weights=None):
-    """sum(weights * a) over all entries; weights=None is the plain mean."""
-    a = _coerce(a)
-    if weights is None:
-        return scale(tsum(a), 1.0 / a.data.size)
-    return tsum(mul(np.asarray(weights, dtype=np.float64), a))
 
 
 def concat(tensors, axis=-1):
@@ -345,28 +336,21 @@ def reshape(a, shape):
 # softmax family
 
 
-def softmax(a, keep=None, shift=None):
-    """Softmax over the last axis with max-subtraction; rows sum to 1.
+def softmax(a, keep, shift):
+    """Softmax over the last axis of each row's kept entries; rows sum to 1.
 
-    With a boolean keep mask of a's shape, each row is the softmax over
-    its kept entries only, shifted by its largest kept entry, and the
-    dropped entries get weight 0; every row must keep at least one entry.
-    Dropped entries may lie anywhere, far above the kept ones included.
-    shift, if given, holds each row's shift, for a caller that already
-    knows its largest kept entries.
+    keep is a boolean mask of a's shape, and every row keeps at least one
+    entry; dropped entries get weight 0 and may lie anywhere, far above
+    the kept ones included. shift holds each row's largest kept entry,
+    which the caller already knows, and is subtracted before the exp.
     """
     a = _coerce(a)
-    if shift is None:
-        top = a.data if keep is None else np.where(keep, a.data, -np.inf)
-        shift = top.max(axis=-1)
     out = a.data - shift[..., None]
-    if keep is not None:
-        # only dropped entries lie above the shift: clamping them at 0
-        # keeps exp finite before keep zeroes them
-        np.minimum(out, 0.0, out=out)
+    # only dropped entries lie above the shift: clamping them at 0 keeps
+    # exp finite before keep zeroes them
+    np.minimum(out, 0.0, out=out)
     np.exp(out, out=out)
-    if keep is not None:
-        out *= keep
+    out *= keep
     # a matrix-vector product sums short rows faster than sum(axis=-1)
     ones = np.ones(out.shape[-1])
     out *= 1.0 / (out @ ones)[..., None]

@@ -103,7 +103,7 @@ def param_shapes(n_items, n_cats, n_users, d) -> dict:
 
 
 def init_backbone(params: ParamStore, n_items, n_cats, n_users, d, rng,
-                  emb_scale: float = 0.1):
+                  emb_scale: float):
     """Install freshly initialized backbone tables and scorer weights.
 
     emb_scale sets the embedding table std; it controls how sharply the
@@ -168,11 +168,11 @@ def score_all_detached(params: ParamStore, user_idx, item_idx, cat_idx):
     return ad.sigmoid(z, out=z)
 
 
-def bce_loss(logits: Tensor, labels, weights=None) -> Tensor:
-    """Mean binary cross-entropy of sigmoid(logits) against labels.
+def bce_loss(logits: Tensor, labels, weights) -> Tensor:
+    """Binary cross-entropy of sigmoid(logits) against labels, summed with
+    the given per-entry weights.
 
-    labels is an array of {0, 1}; weights, if given, replace the mean by
-    sum(weights * entry loss). Each entry is softplus(z) - y*z, which
+    labels is an array of {0, 1}. Each entry is softplus(z) - y*z, which
     equals -y log(sigma(z)) - (1-y) log(1 - sigma(z)) and keeps its
     gradient sigma(z) - y where sigma(z) saturates.
     """
@@ -181,5 +181,5 @@ def bce_loss(logits: Tensor, labels, weights=None) -> Tensor:
         raise ValueError("bce_loss over an empty labeled set")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    return ad.weighted_mean(ad.add(ad.softplus(logits), ad.mul(-y, logits)),
-                            weights)
+    return ad.tsum(ad.mul(weights, ad.add(ad.softplus(logits),
+                                          ad.mul(-y, logits))))

@@ -91,8 +91,8 @@ def sample_contexts(w: Tensor, mask, k: int,
     keep_neg, s_neg = _top_k(mask - v_neg.data, k)
     # the mask is 0 at every pick, so each side's largest pick is read
     # off its sort: the top value, and the k-th largest negated
-    return (ad.softmax(v_pos, keep_pos, shift=s_pos[:, -1]),
-            ad.softmax(v_neg, keep_neg, shift=-s_neg[:, -k]))
+    return (ad.softmax(v_pos, keep_pos, s_pos[:, -1]),
+            ad.softmax(v_neg, keep_neg, -s_neg[:, -k]))
 
 
 def _top_k(x, k):
@@ -103,15 +103,14 @@ def _top_k(x, k):
 
 
 def infonce_loss(q: Tensor, c_pos: Tensor, c_neg: Tensor, t: float,
-                 weights=None) -> Tensor:
-    """Two-term InfoNCE; batched inputs are averaged, or summed with the
-    given row weights."""
+                 weights) -> Tensor:
+    """Two-term InfoNCE of each row, summed with the given row weights."""
     if t <= 0.0:
         raise ad.DomainError("InfoNCE temperature must be positive")
     s_pos = ad.tsum(ad.mul(q, c_pos), axis=-1)
     s_neg = ad.tsum(ad.mul(q, c_neg), axis=-1)
     margin = ad.scale(ad.add(s_neg, ad.scale(s_pos, -1.0)), 1.0 / t)
-    return ad.weighted_mean(ad.softplus(margin), weights)
+    return ad.tsum(ad.mul(weights, ad.softplus(margin)))
 
 
 def fuse_context(u, c_pos: Tensor, c_neg: Tensor, P, keep=None) -> Tensor:

@@ -94,17 +94,18 @@ def _run_manifest(command, args_dict, inputs, outputs, config=None,
 # subcommands
 
 
+# the SyntheticSpec fields gen-data sets, each from the flag of that name
+GEN_FLAGS = ("seed", "num_users", "num_requests", "catalog_size",
+             "num_categories", "candidates_per_request", "latent_dim",
+             "show_fraction")
+
+
 def cmd_gen_data(args):
     started = _utc_now()
     if os.path.exists(args.out) and not args.force:
         raise FileExistsError(
             f"{args.out} exists; pass --force to overwrite")
-    spec = SyntheticSpec(
-        seed=args.seed, num_users=args.num_users,
-        num_requests=args.num_requests, catalog_size=args.catalog_size,
-        num_categories=args.num_categories,
-        candidates_per_request=args.candidates_per_request,
-        latent_dim=args.latent_dim, show_fraction=args.show_fraction)
+    spec = SyntheticSpec(**{key: getattr(args, key) for key in GEN_FLAGS})
     dataset = generate_synthetic(spec)
     save_jsonl(dataset, args.out)
     manifest = _run_manifest(
@@ -207,14 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a synthetic JSONL dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-users", type=int, default=200)
-    p.add_argument("--num-requests", type=int, default=2400)
-    p.add_argument("--catalog-size", type=int, default=2000)
-    p.add_argument("--num-categories", type=int, default=8)
-    p.add_argument("--candidates-per-request", type=int, default=200)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--show-fraction", type=float, default=0.15)
+    for key in GEN_FLAGS:
+        default = SyntheticSpec.__dataclass_fields__[key].default
+        p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                       default=default)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a student model")

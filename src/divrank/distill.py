@@ -417,10 +417,6 @@ def _check_trainable(requests, split, config):
                                  f"{usable}")
 
 
-def _mean(values):
-    return float(np.mean(values)) if values else 0.0
-
-
 def _check_finite(value, epoch, step):
     """step=None stands for the epoch's validation."""
     if not np.isfinite(value):
@@ -464,7 +460,8 @@ def _epoch(model, split, labels, config, rng, epoch):
         comps["total"] = loss
         for key, values in sums.items():
             values.append(comps[key].item())
-    return {key: _mean(values) for key, values in sums.items()}
+    return {key: float(np.mean(values)) if values else 0.0
+            for key, values in sums.items()}
 
 
 def _val_loss(model, split, labels, config):
@@ -581,16 +578,13 @@ def save_checkpoint(model: CDMModel, path, history=None):
 def _write_checkpoint(model: CDMModel, path, history):
     manifest = []
     offset = 0
-    blob = bytearray()
-    for name in sorted(model.params.names()):
-        arr = np.ascontiguousarray(model.params[name], dtype="<f8")
-        raw = arr.tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "offset": offset, "nbytes": len(raw)})
-        blob.extend(raw)
-        offset += len(raw)
     with open(os.path.join(path, "weights.bin"), "wb") as fh:
-        fh.write(bytes(blob))
+        for name in sorted(model.params.names()):
+            arr = np.ascontiguousarray(model.params[name], dtype="<f8")
+            manifest.append({"name": name, "shape": list(arr.shape),
+                             "offset": offset, "nbytes": arr.nbytes})
+            fh.write(arr.data)
+            offset += arr.nbytes
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"tensors": manifest, "total_bytes": offset}, fh, indent=2)
     with open(os.path.join(path, "config.json"), "w", encoding="utf-8") as fh:
@@ -637,14 +631,13 @@ def load_checkpoint(path) -> CDMModel:
                                   len(vocab["categories"]),
                                   len(vocab["users"]), config.d),
                 **cce.param_shapes(config.d)}
-    total = 0
-    last_end = 0
+    end = 0
     params = ParamStore()
     for entry in tensors:
         name = entry["name"]
         if name not in expected:
             raise CheckpointError(f"unknown tensor name in manifest: {name!r}")
-        if entry["offset"] != last_end:
+        if entry["offset"] != end:
             raise CheckpointError("manifest offsets overlap or leave gaps")
         shape = tuple(entry["shape"])
         if shape != expected[name]:
@@ -654,15 +647,13 @@ def load_checkpoint(path) -> CDMModel:
         nbytes = entry["nbytes"]
         if nbytes != int(np.prod(shape)) * 8:
             raise CheckpointError(f"byte length mismatch for {name!r}")
-        end = entry["offset"] + nbytes
-        if end > len(blob):
+        if end + nbytes > len(blob):
             raise CheckpointError("weights.bin truncated")
         arr = np.frombuffer(blob, dtype="<f8", count=nbytes // 8,
-                            offset=entry["offset"]).reshape(shape)
+                            offset=end).reshape(shape)
         params.add(name, arr.copy())
-        total += nbytes
-        last_end = end
-    if total != len(blob) or total != manifest.get("total_bytes", total):
+        end += nbytes
+    if end != len(blob) or end != manifest.get("total_bytes", end):
         raise CheckpointError("weights.bin size does not match manifest")
     missing = expected.keys() - set(params.names())
     if missing:

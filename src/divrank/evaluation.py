@@ -223,9 +223,9 @@ def evaluate_model(model: CDMModel, dataset, Ks, gammas) -> list:
 # latency benchmark
 
 
-def _median_time(fn, repeats: int, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn()
+def _median_time(fn, repeats: int) -> float:
+    """Median wall-clock of repeats calls of fn, after one warm-up call."""
+    fn()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -243,8 +243,8 @@ def crossover_k(Ks, greedy_time, student_time):
     return next((K for K in Ks if greedy_time(K) >= student_time(K)), None)
 
 
-def latency_bench(model: CDMModel, N: int = 10000, K: int = 100,
-                  repeats: int = 5, seed: int = 0) -> dict:
+def latency_bench(model: CDMModel, N: int, K: int, repeats: int,
+                  seed: int = 0) -> dict:
     """Median wall-clock of one teacher pass vs one student pass over a
     synthetic pool of N catalog items, plus the operation-count scalings
     that pin down their asymptotics.

@@ -85,6 +85,11 @@ def sample_contexts(w, mask, k, rng=None):
             neg_idx, take_per_row(w_neg, neg_idx))
 
 
+def softmax_all(x):
+    """Softmax over every entry of each row, shifted by the row's maximum."""
+    return ad.softmax(x, np.ones(x.data.shape, bool), x.data.max(axis=-1))
+
+
 def _pool(weights, values):
     """Softmax weights (N, k) applied to gathered value rows (N, k, d)."""
     w3 = ad.reshape(weights, weights.data.shape + (1,))
@@ -105,7 +110,8 @@ def request_loss(P, rows, y_tea, config, rng=None):
     if shown.size > 0:
         keep = None if rng is None else mlp_keep(rng, shown.size, config)
         loss_bce = bb.bce_loss(bb.score_logits(
-            P, u_idx, item_idx[shown], cat_idx[shown], keep), labels[shown])
+            P, u_idx, item_idx[shown], cat_idx[shown], keep), labels[shown],
+            np.full(shown.size, 1.0 / shown.size))
     else:
         loss_bce = Tensor(0.0)
     components["bce"] = loss_bce
@@ -122,12 +128,13 @@ def request_loss(P, rows, y_tea, config, rng=None):
     mask[pool, np.arange(m)] = cce.MASK_VALUE
     pos_idx, w_pos, neg_idx, w_neg = sample_contexts(w, mask, config.k, rng)
     values = ad.matmul(E_pool, P["cce_w3"])
-    c_pos = _pool(ad.softmax(w_pos), ad.gather_rows(values, pos_idx))
-    c_neg = _pool(ad.softmax(ad.scale(w_neg, -1.0)),
+    c_pos = _pool(softmax_all(w_pos), ad.gather_rows(values, pos_idx))
+    c_neg = _pool(softmax_all(ad.scale(w_neg, -1.0)),
                   ad.gather_rows(values, neg_idx))
 
     q = ad.matmul(E, P["cce_w1"])
-    loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t)
+    row_w = np.full(n, 1.0 / n)
+    loss_nce = cce.infonce_loss(q, c_pos, c_neg, config.infonce_t, row_w)
     components["infonce"] = loss_nce
 
     u_row = ad.gather_rows(P["user_emb"], np.asarray([u_idx], dtype=np.int64))
@@ -135,7 +142,7 @@ def request_loss(P, rows, y_tea, config, rng=None):
                                                  config.dropout)
     c_fused = cce.fuse_context(u_row, c_pos, c_neg, P, keep)
     z = ad.tsum(ad.mul(q, c_fused), axis=1)
-    loss_kd = bb.bce_loss(z, y_tea)
+    loss_kd = bb.bce_loss(z, y_tea, row_w)
     components["kd"] = loss_kd
     components["z_stu"] = z
 
@@ -170,7 +177,8 @@ def warmup_step(params, batch, config, rng):
             continue
         terms.append(bb.bce_loss(bb.score_logits(
             P, rows.u_idx, rows.item_idx[shown], rows.cat_idx[shown],
-            mlp_keep(rng, shown.size, config)), rows.labels[shown]))
+            mlp_keep(rng, shown.size, config)), rows.labels[shown],
+            np.full(shown.size, 1.0 / shown.size)))
     loss = terms[0]
     for t in terms[1:]:
         loss = ad.add(loss, t)

@@ -15,7 +15,7 @@ from divrank.autodiff import (DomainError, ParamStore, ShapeError, Tape,
                               TapeStateError, Tensor)
 
 from gradcheck import grad_check
-from loop_oracle import take_per_row, transpose
+from loop_oracle import softmax_all, take_per_row, transpose
 
 RNG = np.random.default_rng(20240811)
 
@@ -188,24 +188,10 @@ class TestSigmoid:
 
 
 class TestReductionsShaping:
-    def test_sum_axis_keepdims(self):
-        check(lambda t: ad.tsum(ad.mul(ad.tsum(t, axis=1, keepdims=True), t)),
+    def test_sum_axis(self):
+        v = RNG.standard_normal(4)
+        check(lambda t: ad.tsum(ad.mul(ad.tsum(t, axis=1), v)),
               RNG.standard_normal((4, 3)))
-
-    def test_weighted_mean(self):
-        w = RNG.random(5)
-        check(lambda t: ad.weighted_mean(t, w), RNG.standard_normal(5))
-        x = RNG.standard_normal(5)
-        assert ad.weighted_mean(Tensor(x), w).item() == \
-            pytest.approx(w @ x, abs=1e-12)
-        assert ad.weighted_mean(Tensor(x)).item() == \
-            pytest.approx(x.mean(), abs=1e-12)
-
-    def test_mean(self):
-        tape = Tape()
-        x = tape.leaf(RNG.standard_normal(10))
-        tape.backward(ad.weighted_mean(x))
-        np.testing.assert_allclose(x.grad, np.full(10, 0.1))
 
     def test_concat(self):
         b = RNG.standard_normal((3, 2))
@@ -228,9 +214,14 @@ class TestReductionsShaping:
               RNG.standard_normal((3, 4)))
 
 
+def kept_softmax(x, keep):
+    """Softmax over each row's kept entries, shifted by the largest one."""
+    return ad.softmax(x, keep, np.where(keep, x.data, -np.inf).max(axis=-1))
+
+
 class TestSoftmaxFamily:
     def test_softmax_rows_sum_to_one(self):
-        out = ad.softmax(Tensor(RNG.standard_normal((5, 7))))
+        out = softmax_all(Tensor(RNG.standard_normal((5, 7))))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5))
 
     KEEP = np.array([[1, 0, 1, 1, 0, 1],
@@ -241,7 +232,8 @@ class TestSoftmaxFamily:
     def test_softmax_grad(self, tau):
         # softmax(x / tau): sharp, unit and flat distributions
         v = RNG.standard_normal(6)
-        check(lambda t: ad.tsum(ad.mul(ad.softmax(ad.scale(t, 1.0 / tau)), v)),
+        check(lambda t: ad.tsum(ad.mul(
+            softmax_all(ad.scale(t, 1.0 / tau)), v)),
               RNG.standard_normal(6), tol=1e-5)
 
     @pytest.mark.parametrize("tau", [0.2, 1.0, 3.0])
@@ -254,34 +246,31 @@ class TestSoftmaxFamily:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check(lambda t: ad.tsum(ad.mul(
-                ad.softmax(ad.scale(t, 1.0 / tau), keep=self.KEEP), v)), x,
+                kept_softmax(ad.scale(t, 1.0 / tau), self.KEEP), v)), x,
                 tol=1e-5)
 
     def test_softmax_keep_is_softmax_of_kept_entries(self):
         x = RNG.standard_normal((3, 6))
         x[0, ~self.KEEP[0]] += 1e30
-        out = ad.softmax(Tensor(x), keep=self.KEEP).data
+        out = kept_softmax(Tensor(x), self.KEEP).data
         for row, keep, got in zip(x, self.KEEP, out):
             e = np.exp(row[keep] - row[keep].max())
             np.testing.assert_allclose(got[keep], e / e.sum(), rtol=0.0,
                                        atol=1e-15)
             np.testing.assert_array_equal(got[~keep], 0.0)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_softmax_given_shift_matches_computed_shift(self, masked):
-        # a caller passing each row's largest kept entry gets the same
-        # output and gradient, bit for bit, as softmax computing it
+    @pytest.mark.parametrize("offset", [1e30, -1e30])
+    def test_dropped_entries_leave_output_and_grad_unchanged(self, offset):
+        # kept entries' weights and gradient do not depend, bit for bit,
+        # on where the dropped entries lie, above the shift or below it
         x = RNG.standard_normal((3, 6))
-        keep = self.KEEP if masked else None
-        if masked:
-            x[0, ~keep[0]] += 1e30
-        shift = (np.where(keep, x, -np.inf) if masked else x).max(axis=1)
+        moved = np.where(self.KEEP, x, x + offset)
         g = RNG.standard_normal((3, 6))
         outs, grads = [], []
-        for s in (None, shift):
+        for values in (x, moved):
             tape = Tape()
-            leaf = tape.leaf(x)
-            out = ad.softmax(leaf, keep, shift=s)
+            leaf = tape.leaf(values)
+            out = kept_softmax(leaf, self.KEEP)
             tape.backward(ad.tsum(ad.mul(out, g)))
             outs.append(out.data)
             grads.append(leaf.grad)

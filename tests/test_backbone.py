@@ -19,7 +19,7 @@ RNG = np.random.default_rng(7)
 def make_params(n_items=9, n_cats=3, n_users=4, d=6, seed=0):
     params = ParamStore()
     bb.init_backbone(params, n_items, n_cats, n_users, d,
-                     np.random.default_rng(seed))
+                     np.random.default_rng(seed), emb_scale=0.1)
     return params
 
 
@@ -127,7 +127,7 @@ class TestScoring:
         tape = Tape()
         P = params.leaves(tape)
         logits = bb.score_logits(P, 0, [1, 2], [0, 1])
-        tape.backward(bb.bce_loss(logits, [1, 0]))
+        tape.backward(bb.bce_loss(logits, [1, 0], [0.5, 0.5]))
         for name in ("item_emb", "cat_emb", "user_emb", "mlp_w1", "mlp_w3"):
             assert np.abs(P[name].grad).max() > 0.0, name
 
@@ -136,7 +136,7 @@ class TestScoring:
         tape = Tape()
         P = params.leaves(tape)
         logits = bb.score_logits(P, 0, [1], [0])
-        tape.backward(bb.bce_loss(logits, [1]))
+        tape.backward(bb.bce_loss(logits, [1], [1.0]))
         np.testing.assert_allclose(P["item_emb"].grad[5], 0.0)
 
     def test_full_scorer_grad_check(self):
@@ -148,7 +148,7 @@ class TestScoring:
             P = {n: Tensor(v) for n, v in params.items()}
             P["mlp_w1"] = leaf
             logits = bb.score_logits(P, 1, item_idx, cat_idx)
-            return bb.bce_loss(logits, labels)
+            return bb.bce_loss(logits, labels, np.full(3, 1 / 3))
 
         assert grad_check(f, flat) < 1e-6
 
@@ -158,8 +158,18 @@ class TestBceLoss:
         p = np.array([0.9, 0.2, 0.6])
         y = np.array([1, 0, 1])
         expected = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-        got = bb.bce_loss(Tensor(logit(p)), y).item()
+        got = bb.bce_loss(Tensor(logit(p)), y, np.full(3, 1 / 3)).item()
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_weights_sum_the_entry_losses(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(5)
+        y = np.array([1, 0, 0, 1, 1])
+        w = rng.random(5)
+        entries = np.logaddexp(0.0, z) - y * z
+        got = bb.bce_loss(Tensor(z), y, w).item()
+        assert got == pytest.approx(w @ entries, abs=1e-12)
+        assert grad_check(lambda t: bb.bce_loss(t, y, w), z) < 1e-6
 
     def test_saturated_logits_keep_their_gradient(self):
         # sigma(-40) is about 4e-18: a loss on clamped log-probabilities
@@ -167,14 +177,15 @@ class TestBceLoss:
         z, y = np.meshgrid([-40.0, -5.0, 0.0, 5.0, 40.0], [0.0, 1.0])
         tape = Tape()
         leaf = tape.leaf(z.ravel())
-        tape.backward(bb.bce_loss(leaf, y.ravel()))
+        tape.backward(bb.bce_loss(leaf, y.ravel(), np.full(z.size,
+                                                           1 / z.size)))
         np.testing.assert_allclose(leaf.grad, (sigmoid(leaf.data) - y.ravel())
                                    / leaf.data.size, rtol=0.0, atol=1e-12)
 
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            bb.bce_loss(Tensor(np.ones(0)), np.ones(0))
+            bb.bce_loss(Tensor(np.ones(0)), np.ones(0), np.ones(0))
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError):
-            bb.bce_loss(Tensor(np.array([0.5])), np.array([0.3]))
+            bb.bce_loss(Tensor(np.array([0.5])), np.array([0.3]), [1.0])

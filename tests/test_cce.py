@@ -211,7 +211,8 @@ class TestSampleContexts:
         x_neg = -w + gumbel_noise(u[1])
         for a, x, sign in ((a_pos, x_pos, 1.0), (a_neg, x_neg, -1.0)):
             keep, _ = _top_k(x + mask, k)
-            want = ad.softmax(Tensor(sign * x), keep=keep).data
+            shift = np.where(keep, sign * x, -np.inf).max(-1)
+            want = ad.softmax(Tensor(sign * x), keep, shift).data
             np.testing.assert_array_equal(a.data, want)
 
     def test_noise_added_and_grad_passes_through(self):
@@ -358,23 +359,24 @@ class TestInfoNCE:
         t = 0.3
         expected = np.mean(np.logaddexp(
             0.0, ((q * cn).sum(1) - (q * cp).sum(1)) / t))
-        got = infonce_loss(Tensor(q), Tensor(cp), Tensor(cn), t).item()
+        got = infonce_loss(Tensor(q), Tensor(cp), Tensor(cn), t,
+                           np.full(4, 0.25)).item()
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_separated_contexts_give_low_loss(self):
         q = np.ones((1, 4))
         loss_good = infonce_loss(Tensor(q), Tensor(q * 3), Tensor(-q * 3),
-                                 0.2).item()
+                                 0.2, [1.0]).item()
         loss_bad = infonce_loss(Tensor(q), Tensor(-q * 3), Tensor(q * 3),
-                                0.2).item()
+                                0.2, [1.0]).item()
         assert loss_good < 1e-8 < loss_bad
 
     def test_bad_temperature(self):
         q = Tensor(np.ones((1, 2)))
         with pytest.raises(DomainError):
-            infonce_loss(q, q, q, 0.0)
+            infonce_loss(q, q, q, 0.0, [1.0])
 
-    def test_row_weights_replace_the_mean(self):
+    def test_row_weights_sum_the_row_losses(self):
         q, cp, cn = (RNG.standard_normal((4, 6)) for _ in range(3))
         per_row = np.logaddexp(0.0, ((q * cn).sum(1) - (q * cp).sum(1)) / 0.3)
         weights = np.array([0.5, 0.5, 0.25, 0.25]) / 2
@@ -387,7 +389,8 @@ class TestInfoNCE:
         cn = RNG.standard_normal((3, 4))
 
         def f(leaf):
-            return infonce_loss(leaf, Tensor(cp), Tensor(cn), 0.5)
+            return infonce_loss(leaf, Tensor(cp), Tensor(cn), 0.5,
+                                np.full(3, 1 / 3))
 
         assert grad_check(f, RNG.standard_normal((3, 4))) < 1e-6
 

@@ -13,7 +13,7 @@ import pytest
 
 from divrank import cli
 from divrank.backbone import TrainConfig
-from divrank.data import load_jsonl
+from divrank.data import SyntheticSpec, load_jsonl
 from divrank.distill import CDMModel, load_checkpoint, save_checkpoint
 from divrank.evaluation import fused_rank
 
@@ -69,6 +69,21 @@ class TestGenData:
         p = tmp_path / "d.jsonl"
         assert cli.main(GEN_ARGS + ["--out", str(p)]) == 0
         assert cli.main(GEN_ARGS + ["--out", str(p), "--force"]) == 0
+
+    def test_every_flag_is_a_spec_field_with_its_default(self):
+        # cmd_gen_data builds its SyntheticSpec from the flags by field
+        # name, and each flag's default is the dataclass default
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in subparsers.choices["gen-data"]._actions
+                   if a.dest not in {"help", "out", "force"}]
+        assert actions
+        fields = {f.name: f.default
+                  for f in dataclasses.fields(SyntheticSpec)}
+        for action in actions:
+            assert action.dest in fields
+            assert action.default == fields[action.dest]
+            assert type(action.default) is type(fields[action.dest])
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
