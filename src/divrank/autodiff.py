@@ -336,24 +336,32 @@ def reshape(a, shape):
 # softmax family
 
 
-def softmax(a, keep, shift):
-    """Softmax over the last axis of each row's kept entries; rows sum to 1.
+def masked_softmax(x, keep, shift):
+    """Softmax over the last axis of each row's kept entries of x, as a
+    new array; rows sum to 1.
 
-    keep is a boolean mask of a's shape, and every row keeps at least one
-    entry; dropped entries get weight 0 and may lie anywhere, far above
-    the kept ones included. shift holds each row's largest kept entry,
-    which the caller already knows, and is subtracted before the exp.
+    keep is a boolean mask, and every row keeps at least one entry;
+    dropped entries get weight 0 and may lie anywhere, far above the kept
+    ones included. shift holds each row's largest kept entry, which the
+    caller already knows, and is subtracted before the exp.
     """
-    a = _coerce(a)
-    out = a.data - shift[..., None]
+    out = np.subtract(x, shift[..., None])
     # only dropped entries lie above the shift: clamping them at 0 keeps
     # exp finite before keep zeroes them
     np.minimum(out, 0.0, out=out)
     np.exp(out, out=out)
     out *= keep
     # a matrix-vector product sums short rows faster than sum(axis=-1)
+    m = out.shape[-1]
+    out *= 1.0 / (out.reshape(-1, m) @ np.ones(m)).reshape(*out.shape[:-1], 1)
+    return out
+
+
+def softmax(a, keep, shift):
+    """masked_softmax of a's values, recorded on the tape."""
+    a = _coerce(a)
+    out = masked_softmax(a.data, keep, shift)
     ones = np.ones(out.shape[-1])
-    out *= 1.0 / (out @ ones)[..., None]
 
     def back(g):
         return ((g - ((g * out) @ ones)[..., None]) * out,)

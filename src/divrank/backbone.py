@@ -45,7 +45,26 @@ class TrainConfig:
     emb_init_scale: float = 0.1
     seed: int = 0
 
+    @classmethod
+    def field_type(cls, name):
+        """int or float: the type of the field's default, and int for
+        K_teacher, whose default is None."""
+        default = cls.__dataclass_fields__[name].default
+        return int if default is None else type(default)
+
     def validate(self):
+        # types first, so the range checks below compare numbers
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name == "K_teacher" and value is None:
+                continue
+            whole = self.field_type(name) is int
+            if (isinstance(value, bool)
+                    or not isinstance(value, int if whole else (int, float))
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"{name} must be "
+                                  f"{'an int' if whole else 'a finite number'}"
+                                  f", not {value!r}")
         if self.d <= 0:
             raise ConfigError("d must be positive")
         if self.lr <= 0:
@@ -82,6 +101,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a config must be a JSON object, not "
+                              f"{type(obj).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:

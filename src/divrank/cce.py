@@ -54,6 +54,13 @@ def attention_scores_all(P, q: Tensor, E_pool: Tensor, segments) -> Tensor:
                     1.0 / math.sqrt(d))
 
 
+def check_pool(k: int, m: int):
+    """Refuse a context pool of m candidates too small for k contexts per
+    side: a target draws both sides from the m - 1 columns not its own."""
+    if 2 * k > m - 1:
+        raise ad.DomainError(f"2k={2 * k} exceeds usable pool {m - 1}")
+
+
 def sample_contexts(w: Tensor, mask, k: int,
                     u=None) -> tuple[Tensor, Tensor]:
     """Gumbel-Top-k draws of a positive set (high attention) and a negative
@@ -78,9 +85,7 @@ def sample_contexts(w: Tensor, mask, k: int,
     log-softmax: the two differ by a per-row constant, which changes
     neither the picks nor the softmax over them.
     """
-    n = w.data.shape[-1]
-    if 2 * k > n - 1:
-        raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
+    check_pool(k, w.data.shape[-1])
     # the negative side records w - g, the input of its softmax; its picks
     # are the k largest of x = g - w
     v_pos = v_neg = w

@@ -118,17 +118,22 @@ def cmd_gen_data(args):
     return 0
 
 
+# the TrainConfig fields train sets, each from the flag of that name
+TRAIN_FLAGS = ("seed", "d", "lr", "batch_size", "lam", "gamma", "k",
+               "K_teacher", "warm_epochs", "joint_epochs", "eval_fraction",
+               "patience")
+
+
 def _resolve_config(args):
+    """The --config file's fields, each overridden by its flag if given."""
     base = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
-    # each train flag's dest is its TrainConfig field name
-    for key in TrainConfig.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
-    return TrainConfig.from_dict(base)
+    flags = {key: getattr(args, key) for key in TRAIN_FLAGS
+             if getattr(args, key) is not None}
+    return TrainConfig.from_dict({**base, **flags}
+                                 if isinstance(base, dict) else base)
 
 
 def cmd_train(args):
@@ -218,18 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file of training options")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--K-teacher", type=int)
-    p.add_argument("--warm-epochs", type=int)
-    p.add_argument("--joint-epochs", type=int)
-    p.add_argument("--eval-fraction", type=float)
-    p.add_argument("--patience", type=int)
+    for key in TRAIN_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=TrainConfig.field_type(key))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics over a labelled dataset")

@@ -157,8 +157,7 @@ def win_probabilities_detached(params: ParamStore, rows: RequestRows,
     d = config.d
     k = config.k
     n = len(rows.item_idx)
-    if 2 * k > n - 1:
-        raise ad.DomainError(f"2k={2 * k} exceeds usable pool {n - 1}")
+    cce.check_pool(k, n)
     pool = rows.pool
     E = params["item_emb"][rows.item_idx]
     E_pool = E[pool]
@@ -229,14 +228,7 @@ def _context_weights(w, own_rows, own_cols, k):
             short = k - np.count_nonzero(sel & ~at, axis=1)
             side[tied] = sel & (~at | (np.cumsum(at, axis=1)
                                        <= short[:, None]))
-    # every pick lies at or below its side's shift; clamping the rest at 0
-    # keeps exp finite before the mask zeroes them
-    a = np.subtract(w, lim[[0, 2], :, None])
-    np.minimum(a, 0.0, out=a)
-    np.exp(a, out=a)
-    a *= picks
-    a *= 1.0 / (a.reshape(2 * n, m) @ np.ones(m)).reshape(2, n, 1)
-    return a
+    return ad.masked_softmax(w, picks, lim[[0, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +302,7 @@ def batch_loss(P, batch, y_teas, config: TrainConfig, rng=None):
     if joint:
         pools = [r.pool for r in batch]
         ms = np.array([len(p) for p in pools])
-        if 2 * config.k > ms.min() - 1:
-            raise ad.DomainError(
-                f"2k={2 * config.k} exceeds usable pool {ms.min() - 1}")
+        cce.check_pool(config.k, ms.min())
     mlp_keep = gumbel_u = ffn_keep = None
     if rng is not None:
         mlp_keep, gumbel_u, ffn_keep = _draw_noise(rng, row_off, n_shown, ms,
@@ -406,15 +396,11 @@ def _check_trainable(requests, split, config):
     context pool too small for k contexts per side."""
     for req, rows in zip(requests, split):
         n = len(rows.item_idx)
-        K = _teacher_k(config, n)
-        if K > n:
-            raise ValueError(f"request {req.request_id!r}: K={K} exceeds "
-                             f"candidate count {n}")
-        usable = len(rows.pool) - 1
-        if 2 * config.k > usable:
-            raise ad.DomainError(f"request {req.request_id!r}: "
-                                 f"2k={2 * config.k} exceeds usable pool "
-                                 f"{usable}")
+        try:
+            teach.check_size(_teacher_k(config, n), n)
+            cce.check_pool(config.k, len(rows.pool))
+        except ValueError as e:
+            raise type(e)(f"request {req.request_id!r}: {e}") from None
 
 
 def _check_finite(value, epoch, step):

@@ -275,9 +275,7 @@ def latency_bench(model: CDMModel, N: int, K: int, repeats: int,
                            np.full(n, -1, dtype=np.int64), seed, cfg)
 
     rows = draw(N)
-    acc = model.acc_scores(rows)
-    ew = model.params["item_emb"][rows.item_idx] \
-        * model.params["user_emb"][u_idx]
+    acc, ew = teach.mmr_inputs(model, rows)
 
     teacher_time = _median_time(
         lambda: teach.mmr_core(acc, ew, cfg.lam, K), repeats)

@@ -45,7 +45,8 @@ class TeacherLabeling:
     gains: list            # recorded marginal gain per step
 
 
-def _check_size(K, n):
+def check_size(K, n):
+    """Refuse K picks from n candidates unless 1 <= K <= n."""
     if K < 1:
         raise ValueError(f"K={K} must be >= 1")
     if K > n:
@@ -59,7 +60,7 @@ def mmr_core(acc, ew, lam, K, counters=None):
     Returns (selected indices in order, per-step marginal gains).
     """
     n = len(acc)
-    _check_size(K, n)
+    check_size(K, n)
     first = int(np.argmax(acc))
     selected = [first]
     gains = [float(acc[first])]
@@ -94,7 +95,7 @@ def mmr_greedy(acc, ew, lam, K):
     exactly as in mmr_core.
     """
     n = len(acc)
-    _check_size(K, n)
+    check_size(K, n)
     last = int(np.argmax(acc))
     selected = [last]
     gains = [float(acc[last])]
@@ -107,17 +108,24 @@ def mmr_greedy(acc, ew, lam, K):
         for _ in range(1, K):
             open_acc[last] = -np.inf
             np.dot(neg_ew, ew[last], out=e)
-            np.minimum(min_e, np.exp(e, out=e), out=min_e)
-            # gain = acc + lam * (1 - 1 / (1 + min_e)), in place
-            np.add(min_e, 1.0, out=gain)
-            np.reciprocal(gain, out=gain)
-            np.subtract(1.0, gain, out=gain)
-            gain *= lam
-            gain += open_acc
+            _fold_pick(e, min_e, gain, open_acc, lam)
             last = int(gain.argmax())
             selected.append(last)
             gains.append(float(gain[last]))
     return selected, gains
+
+
+def _fold_pick(e, min_e, gain, open_acc, lam):
+    """One incremental greedy step after its product, in place: fold the
+    newest pick's e = -x into min_e as exp(e), and write each candidate's
+    gain open_acc + lam * (1 - 1 / (1 + min_e)) into gain. The steps are
+    elementwise, so a row of stacked arrays gets the one-request result."""
+    np.minimum(min_e, np.exp(e, out=e), out=min_e)
+    np.add(min_e, 1.0, out=gain)
+    np.reciprocal(gain, out=gain)
+    np.subtract(1.0, gain, out=gain)
+    gain *= lam
+    gain += open_acc
 
 
 def mmr_greedy_stacked(acc, ew, lam, K):
@@ -126,11 +134,11 @@ def mmr_greedy_stacked(acc, ew, lam, K):
     acc: (R, n) accuracy scores; ew: (R, n, d) interest-weighted
     embeddings. Returns (R, K) picks in order and (R, K) per-step gains;
     row r holds mmr_greedy(acc[r], ew[r], lam, K) bit for bit: the
-    stacked matmul runs the same per-request product as np.dot, and every
-    other step is elementwise.
+    stacked matmul runs the same per-request product as np.dot, and both
+    then take the same _fold_pick step.
     """
     R, n = acc.shape
-    _check_size(K, n)
+    check_size(K, n)
     reqs = np.arange(R)
     picks = np.empty((R, K), dtype=np.int64)
     gains = np.empty((R, K))
@@ -146,50 +154,41 @@ def mmr_greedy_stacked(acc, ew, lam, K):
         for h in range(1, K):
             open_acc[reqs, last] = -np.inf
             np.matmul(neg_ew, ew[reqs, last, :, None], out=e[:, :, None])
-            np.minimum(min_e, np.exp(e, out=e), out=min_e)
-            np.add(min_e, 1.0, out=gain)
-            np.reciprocal(gain, out=gain)
-            np.subtract(1.0, gain, out=gain)
-            gain *= lam
-            gain += open_acc
+            _fold_pick(e, min_e, gain, open_acc, lam)
             last = gain.argmax(axis=1)
             picks[:, h] = last
             gains[:, h] = gain[reqs, last]
     return picks, gains
 
 
-def mmr_rows(model, rows, lam, K):
-    """Interest-aware MMR over a decoded request (distill.RequestRows)
-    using the model's current state: (picks in order, per-step gains,
-    y_tea holding 1.0 at each pick)."""
-    acc = model.acc_scores(rows)
-    ew = model.params["item_emb"][rows.item_idx] \
-        * model.params["user_emb"][rows.u_idx]
-    selected, gains = mmr_greedy(acc, ew, lam, K)
-    y_tea = np.zeros(len(rows.item_idx), dtype=np.float64)
-    y_tea[selected] = 1.0
-    return selected, gains, y_tea
+def mmr_inputs(model, rows):
+    """The teacher's inputs for a decoded request (distill.RequestRows)
+    under the model's current state: (accuracy scores, interest-weighted
+    embeddings e_i * u)."""
+    return (model.acc_scores(rows), model.params["item_emb"][rows.item_idx]
+            * model.params["user_emb"][rows.u_idx])
 
 
 def mmr_labels(model, batch, lam, K):
-    """Teacher labels of decoded requests that all have n candidates:
-    an (R, n) array whose row r is mmr_rows(model, batch[r], lam, K)'s
-    y_tea bit for bit."""
+    """Teacher labels of decoded requests that all have n candidates: an
+    (R, n) array holding 1.0 at each request's picks, row r those of
+    mmr_greedy(*mmr_inputs(model, batch[r]), lam, K)."""
     if len(batch) == 1:
-        return mmr_rows(model, batch[0], lam, K)[2][None]
-    acc = np.stack([model.acc_scores(rows) for rows in batch])
-    ew = model.params["item_emb"][np.stack([r.item_idx for r in batch])] \
-        * model.params["user_emb"][[r.u_idx for r in batch]][:, None, :]
-    picks, _ = mmr_greedy_stacked(acc, ew, lam, K)
-    y_tea = np.zeros(acc.shape)
-    np.put_along_axis(y_tea, picks, 1.0, axis=1)
+        picks = [mmr_greedy(*mmr_inputs(model, batch[0]), lam, K)[0]]
+    else:
+        acc, ew = zip(*(mmr_inputs(model, rows) for rows in batch))
+        picks, _ = mmr_greedy_stacked(np.stack(acc), np.stack(ew), lam, K)
+    y_tea = np.zeros((len(batch), len(batch[0].item_idx)))
+    np.put_along_axis(y_tea, np.asarray(picks), 1.0, axis=1)
     return y_tea
 
 
 def mmr_select(request, model, lam, K) -> TeacherLabeling:
     """Interest-aware MMR over a request using the model's current state."""
-    selected, gains, y_tea = mmr_rows(model, model.request_arrays(request),
-                                      lam, K)
+    rows = model.request_arrays(request)
+    selected, gains = mmr_greedy(*mmr_inputs(model, rows), lam, K)
+    y_tea = np.zeros(len(rows.item_idx))
+    y_tea[selected] = 1.0
     return TeacherLabeling(
         request_id=request.request_id,
         winning_ids=[request.item_ids[i] for i in selected],

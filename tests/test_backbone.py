@@ -39,6 +39,22 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # a float where an int belongs, a bool, a string or a non-finite float
+    # must not reach the range checks or training
+    @pytest.mark.parametrize("field,value", [
+        ("k", 8.5), ("d", 8.0), ("batch_size", 2.5), ("K_teacher", 2.5),
+        ("k", True), ("lr", "0.1"), ("lam", float("nan")),
+        ("gamma", float("inf")), ("dropout", False), ("seed", None),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize("obj", [[], "d", 4, None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ConfigError, match="JSON object"):
+            TrainConfig.from_dict(obj)
+
     def test_dict_roundtrip(self):
         cfg = TrainConfig(d=4, lr=0.1, k=2, max_context_pool=32)
         again = TrainConfig.from_dict(cfg.to_dict())

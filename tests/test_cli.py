@@ -121,9 +121,15 @@ class TestTrain:
         # misnamed flag would be silently ignored
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in subparsers.choices["train"]._actions}
-        fields = set(TrainConfig.__dataclass_fields__)
-        assert dests - {"help", "data", "out", "config"} <= fields
+        actions = {a.dest: a for a in subparsers.choices["train"]._actions}
+        fields = TrainConfig.__dataclass_fields__
+        flags = actions.keys() - {"help", "data", "out", "config"}
+        assert flags <= fields.keys()
+        # each flag parses to its field's type; K_teacher defaults to None
+        for dest in flags:
+            default = fields[dest].default
+            want = float if isinstance(default, float) else int
+            assert actions[dest].type is want, dest
 
     def test_unknown_config_field_errors(self, workspace, tmp_path, capsys):
         _, data_path, _ = workspace
@@ -134,6 +140,21 @@ class TestTrain:
                          "--config", str(cfg_file)], capsys)
         assert code == 2
         assert json.loads(out.err)["error"] == "ConfigError"
+
+    # a flag given next to a file that is not an object is not merged in
+    @pytest.mark.parametrize("payload, flags", [
+        ({"k": 2.5}, []), ([{"k": 3}], ["--lr", "0.1"])])
+    def test_wrong_config_type_errors(self, workspace, tmp_path, capsys,
+                                      payload, flags):
+        _, data_path, _ = workspace
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload))
+        code, out = run(["train", "--data", str(data_path),
+                         "--out", str(tmp_path / "x"),
+                         "--config", str(cfg_file)] + flags, capsys)
+        assert code == 2
+        assert json.loads(out.err)["error"] == "ConfigError"
+        assert not (tmp_path / "x").exists()
 
     def test_teacher_size_below_one_errors(self, workspace, tmp_path, capsys):
         _, data_path, _ = workspace
